@@ -32,8 +32,9 @@ fn sim_registers(c: &mut Criterion) {
     let cas = factory.cas("C", 0i64);
     g.bench_function("cas", |b| {
         b.iter(|| {
-            cas.compare_and_swap(&env, black_box(&0), black_box(0))
-                .unwrap()
+            let op = cas.invoke_cas(&env, black_box(0), black_box(0));
+            env.tick().unwrap();
+            cas.complete_cas(&env, op)
         })
     });
     g.finish();

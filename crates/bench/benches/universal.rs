@@ -7,7 +7,7 @@ use std::time::Duration;
 use tbwf_omega::OmegaKind;
 use tbwf_registers::{RegisterFactory, RegisterFactoryConfig};
 use tbwf_sim::schedule::RoundRobin;
-use tbwf_sim::{FreeRunEnv, ProcId, RunConfig};
+use tbwf_sim::{Env, FreeRunEnv, ProcId, RunConfig};
 use tbwf_universal::baselines::CasUniversal;
 use tbwf_universal::harness::{run_counter_workload, Engine, WorkloadConfig};
 use tbwf_universal::object::{Counter, CounterOp};
@@ -33,7 +33,15 @@ fn qa_solo_ops(c: &mut Criterion) {
         let obj = CasUniversal::new(Counter, 2, factory);
         let env = FreeRunEnv::new(ProcId(0));
         let mut session = obj.session(ProcId(0));
-        b.iter(|| session.apply(&env, CounterOp::Inc).unwrap())
+        b.iter(|| {
+            session.begin_apply(CounterOp::Inc);
+            loop {
+                if let Some(v) = session.poll_apply(&env) {
+                    break v;
+                }
+                env.tick().unwrap();
+            }
+        })
     });
     g.finish();
 }

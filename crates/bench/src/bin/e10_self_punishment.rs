@@ -58,6 +58,7 @@ fn run_blinker(self_punish: bool, steps: u64) -> (usize, Vec<i64>) {
 }
 
 fn main() {
+    tbwf_bench::no_args(env!("CARGO_BIN_NAME"));
     let steps = 400_000;
     println!("E10: Fig. 3 self-punishment ablation");
     println!("     p0 = blinking R-candidate (lowest id), p1 = permanent timely candidate");

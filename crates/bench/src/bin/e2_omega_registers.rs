@@ -106,6 +106,7 @@ fn scenarios(n: usize) -> Vec<Scenario> {
 }
 
 fn main() {
+    tbwf_bench::no_args(env!("CARGO_BIN_NAME"));
     println!("E2: Omega-Delta from atomic registers + activity monitors (Fig. 3)");
     println!("    checking Definition 5 on every run\n");
     let mut rows = Vec::new();

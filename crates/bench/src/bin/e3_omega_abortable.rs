@@ -18,6 +18,7 @@ use tbwf_sim::schedule::{GapGrowth, PartiallySynchronous, RoundRobin, Schedule};
 use tbwf_sim::{ProcId, RunConfig};
 
 fn main() {
+    tbwf_bench::no_args(env!("CARGO_BIN_NAME"));
     println!("E3: Omega-Delta from SWSR abortable registers (Figs. 4-6)");
     println!("    checking Definition 5 under three register adversaries\n");
     let policies: [(&str, AbortPolicy); 3] = [

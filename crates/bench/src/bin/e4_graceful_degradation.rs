@@ -17,6 +17,7 @@ use tbwf::prelude::*;
 use tbwf_bench::{print_table, summarize};
 
 fn main() {
+    tbwf_bench::no_args(env!("CARGO_BIN_NAME"));
     let n = 6;
     let steps: u64 = 400_000;
     println!("E4: graceful degradation of a TBWF counter, n = {n}, {steps} steps");

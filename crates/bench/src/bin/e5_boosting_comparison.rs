@@ -20,6 +20,7 @@ use tbwf_sim::{ProcId, RunConfig};
 use tbwf_universal::harness::{run_counter_workload, Engine, WorkloadConfig};
 
 fn main() {
+    tbwf_bench::no_args(env!("CARGO_BIN_NAME"));
     let n = 4;
     let steps: u64 = 500_000;
     println!("E5: progress per engine under full vs. partial synchrony");

@@ -16,6 +16,7 @@ use tbwf_sim::schedule::RoundRobin;
 use tbwf_sim::{ProcId, RunConfig};
 
 fn main() {
+    tbwf_bench::no_args(env!("CARGO_BIN_NAME"));
     let n = 4;
     let steps: u64 = 240_000;
     println!("E6: write efficiency of Fig. 3 (who writes after stabilization?)");

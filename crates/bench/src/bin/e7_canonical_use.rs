@@ -26,6 +26,7 @@ fn jain(xs: &[u64]) -> f64 {
 }
 
 fn main() {
+    tbwf_bench::no_args(env!("CARGO_BIN_NAME"));
     let n = 3;
     let steps: u64 = 300_000;
     println!("E7: canonical vs non-canonical use of Omega-Delta in Fig. 7");

@@ -16,9 +16,17 @@
 
 use std::sync::Arc;
 use tbwf_bench::print_table;
-use tbwf_registers::{ReadOutcome, RegisterFactory, SharedAbortable};
+use tbwf_registers::{OpToken, RegisterFactory, SharedAbortable};
 use tbwf_sim::schedule::{RoundRobin, Weighted};
-use tbwf_sim::{Env, ProcId, RunConfig, Schedule, SimBuilder};
+use tbwf_sim::{Control, ProcId, RunConfig, Schedule, SimBuilder, StepCtx};
+
+/// The register operation a Part A hammer has in flight.
+#[derive(Clone, Copy)]
+enum Hammer {
+    Idle,
+    Write(OpToken),
+    Read(OpToken),
+}
 
 /// Part A: n processes hammer one MWMR abortable register.
 fn abort_rate(n: usize, steps: u64) -> (u64, u64, u64) {
@@ -28,14 +36,28 @@ fn abort_rate(n: usize, steps: u64) -> (u64, u64, u64) {
     for p in 0..n {
         let pid = b.add_process(&format!("p{p}"));
         let reg = Arc::clone(&reg);
-        b.add_task(pid, "hammer", move |env| {
-            let mut i = 0i64;
-            loop {
-                i += 1;
-                let _ = reg.write(&env, i)?;
-                let _ = reg.read(&env)?;
-            }
-        });
+        // Write i, read, i += 1, forever: every operation spans two of
+        // the process's steps.
+        let mut i = 0i64;
+        let mut inflight = Hammer::Idle;
+        let hammer = move |ctx: &mut StepCtx<'_>| {
+            let env = ctx.env();
+            inflight = match inflight {
+                Hammer::Write(tok) => {
+                    let _ = reg.complete_write(env, tok);
+                    Hammer::Read(reg.invoke_read(env))
+                }
+                Hammer::Read(_) | Hammer::Idle => {
+                    if let Hammer::Read(tok) = inflight {
+                        let _ = reg.complete_read(env, tok);
+                    }
+                    i += 1;
+                    Hammer::Write(reg.invoke_write(env, i))
+                }
+            };
+            Control::Yield
+        };
+        b.add_stepper(pid, "hammer", Box::new(hammer));
     }
     let report = b.build().run(RunConfig::new(steps, RoundRobin::new()));
     report.assert_no_panics();
@@ -55,39 +77,48 @@ fn heartbeat_detector(slow_writer: bool, two_regs: bool, steps: u64) -> (u64, u6
     let reader = b.add_process("reader");
     let writer = b.add_process("writer");
 
+    // The writer bumps c and writes it to every register in turn,
+    // forever.
     {
         let regs = regs.clone();
-        b.add_task(writer, "hb", move |env| {
-            let mut c = 0i64;
-            loop {
+        let mut c = 0i64;
+        let mut pending: Option<(usize, OpToken)> = None;
+        let heartbeat = move |ctx: &mut StepCtx<'_>| {
+            let env = ctx.env();
+            let mut k = match pending.take() {
+                Some((k, tok)) => {
+                    let _ = regs[k].complete_write(env, tok);
+                    k + 1
+                }
+                None => regs.len(),
+            };
+            if k == regs.len() {
                 c += 1;
-                for r in &regs {
-                    let _ = r.write(&env, c)?;
-                }
+                k = 0;
             }
-        });
+            pending = Some((k, regs[k].invoke_write(env, c)));
+            Control::Yield
+        };
+        b.add_stepper(writer, "hb", Box::new(heartbeat));
     }
+    // The reader polls every 8 own steps (a fixed timeout: the ablation
+    // isolates the register-count question from adaptivity): it reads
+    // every register in turn and judges the writer timely iff each read
+    // aborted or changed.
     {
-        let regs = regs.clone();
-        b.add_task(reader, "detect", move |env| {
-            let mut prev: Vec<Option<i64>> = vec![Some(0); regs.len()];
-            let mut timely = 0i64;
-            let mut polls = 0i64;
-            loop {
-                // Poll every 8 own steps (a fixed timeout: the ablation
-                // isolates the register-count question from adaptivity).
-                for _ in 0..8 {
-                    env.tick()?;
-                }
-                let mut fresh_all = true;
-                for (i, r) in regs.iter().enumerate() {
-                    let cur = match r.read(&env)? {
-                        ReadOutcome::Aborted => None,
-                        ReadOutcome::Value(v) => Some(v),
-                    };
-                    let fresh = cur.is_none() || cur != prev[i];
-                    fresh_all &= fresh;
-                    prev[i] = cur;
+        let mut prev: Vec<Option<i64>> = vec![Some(0); regs.len()];
+        let (mut timely, mut polls) = (0i64, 0i64);
+        let (mut waited, mut fresh_all) = (0u32, true);
+        let mut reading: Option<(usize, OpToken)> = None;
+        let detect = move |ctx: &mut StepCtx<'_>| {
+            let env = ctx.env();
+            if let Some((k, tok)) = reading.take() {
+                let cur = regs[k].complete_read(env, tok).value();
+                fresh_all &= cur.is_none() || cur != prev[k];
+                prev[k] = cur;
+                if k + 1 < regs.len() {
+                    reading = Some((k + 1, regs[k + 1].invoke_read(env)));
+                    return Control::Yield;
                 }
                 polls += 1;
                 if fresh_all {
@@ -95,8 +126,17 @@ fn heartbeat_detector(slow_writer: bool, two_regs: bool, steps: u64) -> (u64, u6
                 }
                 env.observe("timely_verdicts", 0, timely);
                 env.observe("polls", 0, polls);
+                // The first step of the next wait ends this segment.
+                waited = 1;
+            } else if waited < 8 {
+                waited += 1;
+            } else {
+                (waited, fresh_all) = (0, true);
+                reading = Some((0, regs[0].invoke_read(env)));
             }
-        });
+            Control::Yield
+        };
+        b.add_stepper(reader, "detect", Box::new(detect));
     }
 
     let schedule: Box<dyn Schedule> = if slow_writer {
@@ -122,6 +162,7 @@ fn heartbeat_detector(slow_writer: bool, two_regs: bool, steps: u64) -> (u64, u6
 }
 
 fn main() {
+    tbwf_bench::no_args(env!("CARGO_BIN_NAME"));
     println!("E8: abortable-register ablations (Section 6)\n");
 
     println!("Part A: abort rate on one shared abortable register");

@@ -4,6 +4,17 @@
 
 pub mod gauntlet;
 
+/// Rejects command-line arguments for an experiment binary that takes
+/// none (E1–E10): given any, it prints a usage line to stderr and exits
+/// with status 2, so a mistyped flag is never silently ignored. Call it
+/// first in `main` with `env!("CARGO_BIN_NAME")`.
+pub fn no_args(bin: &str) {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("{bin}: unexpected argument {arg:?}\nusage: {bin} (takes no arguments)");
+        std::process::exit(2);
+    }
+}
+
 /// Prints an aligned text table.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

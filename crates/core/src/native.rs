@@ -35,7 +35,7 @@ use tbwf_omega::harness::{install_omega_with, OmegaOptions};
 use tbwf_omega::{OmegaHandles, OmegaKind};
 use tbwf_registers::native::NativeEnv;
 use tbwf_registers::{RegisterFactory, RegisterFactoryConfig};
-use tbwf_sim::{Env, Halted, ProcId, TaskBody, TaskSpawner};
+use tbwf_sim::{Control, Env, Halted, ProcId, StepCtx, Stepper, TaskSpawner};
 use tbwf_universal::qa::QaObject;
 use tbwf_universal::tbwf::invoke_tbwf;
 use tbwf_universal::ObjectType;
@@ -59,13 +59,17 @@ impl ThreadSpawner {
 }
 
 impl TaskSpawner for ThreadSpawner {
-    fn spawn_task(&mut self, pid: ProcId, name: &str, body: TaskBody) {
+    /// Runs the stepper on its own OS thread: one segment per
+    /// [`Env::tick`], until it is done or the system shuts down.
+    fn spawn_stepper(&mut self, pid: ProcId, name: &str, mut stepper: Box<dyn Stepper>) {
         let env = self.envs[pid.0].clone();
         let handle = std::thread::Builder::new()
             .name(format!("{pid}-{name}"))
             .spawn(move || {
-                // Halted is the normal shutdown path.
-                let _ = body(&env);
+                // `Halted` from `tick` is the normal shutdown path.
+                while stepper.step(&mut StepCtx::new(&env)) == Control::Yield && env.tick().is_ok()
+                {
+                }
             })
             .expect("failed to spawn native task thread");
         self.handles.push(handle);

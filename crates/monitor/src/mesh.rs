@@ -100,7 +100,7 @@ impl MonitorMesh {
 mod tests {
     use super::*;
     use tbwf_sim::schedule::RoundRobin;
-    use tbwf_sim::{Env, RunConfig, SimBuilder};
+    use tbwf_sim::{Control, RunConfig, SimBuilder, StepCtx};
 
     #[test]
     fn mesh_reports_mutual_activity() {
@@ -121,9 +121,11 @@ mod tests {
             }
         }
         for p in 0..n {
-            b.add_task(ProcId(p), "idle", move |env| loop {
-                env.tick()?;
-            });
+            b.add_stepper(
+                ProcId(p),
+                "idle",
+                Box::new(|_: &mut StepCtx<'_>| Control::Yield),
+            );
         }
         let handles = mesh.handles.clone();
         let report = b.build().run(RunConfig::new(30_000, RoundRobin::new()));
@@ -159,9 +161,11 @@ mod tests {
             }
         }
         for p in 0..n {
-            b.add_task(ProcId(p), "idle", move |env| loop {
-                env.tick()?;
-            });
+            b.add_stepper(
+                ProcId(p),
+                "idle",
+                Box::new(|_: &mut StepCtx<'_>| Control::Yield),
+            );
         }
         let handles = mesh.handles.clone();
         let report = b

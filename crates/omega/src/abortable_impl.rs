@@ -20,7 +20,12 @@
 //!   heartbeats on `writeDone` so that a process that cannot deliver its
 //!   counter to `q` stops looking active to `q`.
 //!
-//! Line numbers in comments refer to Figures 4, 5 and 6.
+//! All three run as one poll-driven [`Stepper`]
+//! ([`AbortableOmegaStepper`]): the Figure 6 loop with the Figure 4/5
+//! sub-routines inlined. One `step` is one step of the process, and
+//! every register operation spans two of them (invoked at the end of one
+//! segment, completed at the start of the next). Line numbers in
+//! comments refer to Figures 4, 5 and 6.
 
 // The `for q in 0..n` loops below deliberately mirror the paper's
 // "for each q ∈ Π − {p}" iterations over several parallel vectors.
@@ -29,38 +34,37 @@
 use crate::{set_leader, OmegaHandles};
 use std::collections::BTreeSet;
 use tbwf_registers::{OpToken, ReadOutcome, SharedAbortable};
-use tbwf_sim::{Control, Env, ProcId, SimResult, StepCtx, Stepper};
+use tbwf_sim::{Control, Env, ProcId, StepCtx, Stepper};
 
 /// A Figure 4/6 message: `⟨counter_p[p], actrTo_p[q]⟩`.
 pub type Msg = (i64, i64);
 
 /// The Figure 4 communication state of one process `p`.
 pub struct MsgChannels {
-    p: ProcId,
-    n: usize,
     /// `MsgRegister[p, q]`, written by `p`, read by `q` (index `q`).
     out: Vec<Option<SharedAbortable<Msg>>>,
     /// `MsgRegister[q, p]`, written by `q`, read by `p` (index `q`).
     inn: Vec<Option<SharedAbortable<Msg>>>,
+    /// `msgCurr[q]`: the message being delivered to `q`.
     msg_curr: Vec<Msg>,
+    /// `prevMsgFrom[q]`: the last message successfully read from `q`.
     prev_msg_from: Vec<Msg>,
+    /// `readTimer[q]` / `readTimeout[q]`: the read backoff towards `q`.
     read_timer: Vec<u64>,
     read_timeout: Vec<u64>,
+    /// `prevWriteDone[q]`: whether `msgCurr[q]` was written successfully.
     prev_write_done: Vec<bool>,
 }
 
 impl MsgChannels {
-    /// Creates the channel state. `out[q]`/`inn[q]` must be `Some` exactly
-    /// for `q ≠ p`.
+    /// Creates the channel state of one process `p` in a system of `n`
+    /// processes. `out[q]`/`inn[q]` must be `Some` exactly for `q ≠ p`.
     pub fn new(
-        p: ProcId,
         n: usize,
         out: Vec<Option<SharedAbortable<Msg>>>,
         inn: Vec<Option<SharedAbortable<Msg>>>,
     ) -> Self {
         MsgChannels {
-            p,
-            n,
             out,
             inn,
             msg_curr: vec![(0, 0); n],
@@ -70,108 +74,29 @@ impl MsgChannels {
             prev_write_done: vec![true; n],
         }
     }
-
-    /// Figure 4, lines 1–7: `WriteMsgs(msgTo)`.
-    ///
-    /// Tries to communicate `msgTo[q]` to every `q ≠ p`; returns
-    /// `prevWriteDone` — whether the *current* value has been written
-    /// successfully to each `MsgRegister[p, q]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn write_msgs(&mut self, env: &dyn Env, msg_to: &[Msg]) -> SimResult<Vec<bool>> {
-        // 2: for each q ∈ Π − {p}
-        for q in 0..self.n {
-            if q == self.p.0 {
-                continue;
-            }
-            env.tick()?; // local step: inspect state for this q
-                         // 3: if (not prevWriteDone[q]) or msgCurr[q] ≠ msgTo[q]
-            if !self.prev_write_done[q] || self.msg_curr[q] != msg_to[q] {
-                // 4: if prevWriteDone[q] then msgCurr[q] := msgTo[q]
-                if self.prev_write_done[q] {
-                    self.msg_curr[q] = msg_to[q];
-                }
-                // 5: res ← WRITE(MsgRegister[p, q], msgCurr[q])
-                let res = self.out[q]
-                    .as_ref()
-                    .expect("out register for peer")
-                    .write(env, self.msg_curr[q])?;
-                // 6: prevWriteDone[q] ← (res = ok)
-                self.prev_write_done[q] = res.is_ok();
-            }
-        }
-        // 7: return prevWriteDone
-        Ok(self.prev_write_done.clone())
-    }
-
-    /// Figure 4, lines 8–19: `ReadMsgs()`.
-    ///
-    /// Polls each `MsgRegister[q, p]` every `readTimeout[q]` invocations,
-    /// backing off on aborts or unchanged values; returns `prevMsgFrom`,
-    /// the last successfully read message from each process.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn read_msgs(&mut self, env: &dyn Env) -> SimResult<Vec<Msg>> {
-        // 9: for each q ∈ Π − {p}
-        for q in 0..self.n {
-            if q == self.p.0 {
-                continue;
-            }
-            env.tick()?; // local step: timer bookkeeping for this q
-                         // 10: if readTimer[q] ≥ 1 then readTimer[q] ← readTimer[q] − 1
-            if self.read_timer[q] >= 1 {
-                self.read_timer[q] -= 1;
-            }
-            // 11: if readTimer[q] = 0 then
-            if self.read_timer[q] == 0 {
-                // 12: readTimer[q] ← readTimeout[q]
-                self.read_timer[q] = self.read_timeout[q];
-                // 13: res[q] ← READ(MsgRegister[q, p])
-                let res = self.inn[q]
-                    .as_ref()
-                    .expect("in register for peer")
-                    .read(env)?;
-                match res {
-                    // 14–15: abort or stale ⇒ back off.
-                    ReadOutcome::Aborted => self.read_timeout[q] += 1,
-                    ReadOutcome::Value(v) if v == self.prev_msg_from[q] => {
-                        self.read_timeout[q] += 1;
-                    }
-                    // 16–18: fresh value ⇒ record it, reset the backoff.
-                    ReadOutcome::Value(v) => {
-                        self.prev_msg_from[q] = v;
-                        self.read_timeout[q] = 1;
-                    }
-                }
-            }
-        }
-        // 19: return prevMsgFrom
-        Ok(self.prev_msg_from.clone())
-    }
 }
 
 /// The Figure 5 heartbeat state of one process `p`.
 pub struct HeartbeatChannels {
-    p: ProcId,
-    n: usize,
     /// `HbRegister1[p, q]` / `HbRegister2[p, q]` (written by `p`).
     hb1_out: Vec<Option<SharedAbortable<i64>>>,
     hb2_out: Vec<Option<SharedAbortable<i64>>>,
     /// `HbRegister1[q, p]` / `HbRegister2[q, p]` (read by `p`).
     hb1_in: Vec<Option<SharedAbortable<i64>>>,
     hb2_in: Vec<Option<SharedAbortable<i64>>>,
+    /// `hbTimeout[q]` / `hbTimer[q]`: the adaptive sampling period.
     hb_timeout: Vec<u64>,
     hb_timer: Vec<u64>,
-    /// `None` encodes `⊥` (an aborted read).
+    /// `prevHb1[q]`, `prevHb2[q]`, `hb1[q]`, `hb2[q]`: the previous and
+    /// current samples of both registers; `None` encodes `⊥` (an aborted
+    /// read).
     prev_hb1: Vec<Option<i64>>,
     prev_hb2: Vec<Option<i64>>,
     hb1: Vec<Option<i64>>,
     hb2: Vec<Option<i64>>,
+    /// `hbSendCounter`.
     hb_send_counter: i64,
+    /// `activeSet`, as last returned by `ReceiveHeartbeat`.
     active_set: BTreeSet<ProcId>,
 }
 
@@ -189,8 +114,6 @@ impl HeartbeatChannels {
         let mut active_set = BTreeSet::new();
         active_set.insert(p); // { Initial state }: activeSet = {p}
         HeartbeatChannels {
-            p,
-            n,
             hb1_out,
             hb2_out,
             hb1_in,
@@ -204,93 +127,6 @@ impl HeartbeatChannels {
             hb_send_counter: 0,
             active_set,
         }
-    }
-
-    /// Figure 5, lines 20–25: `SendHeartbeat(dest)`.
-    ///
-    /// Writes an ever-increasing counter to both heartbeat registers of
-    /// every `q` with `dest[q]`; write aborts are deliberately ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn send_heartbeat(&mut self, env: &dyn Env, dest: &[bool]) -> SimResult<()> {
-        // 21: hbSendCounter ← hbSendCounter + 1
-        self.hb_send_counter += 1;
-        // 22–25: for each destination, write both registers.
-        for q in 0..self.n {
-            if q == self.p.0 {
-                continue;
-            }
-            env.tick()?; // local step: inspect dest[q]
-            if dest[q] {
-                let _ = self.hb1_out[q]
-                    .as_ref()
-                    .expect("hb1 out register")
-                    .write(env, self.hb_send_counter)?;
-                let _ = self.hb2_out[q]
-                    .as_ref()
-                    .expect("hb2 out register")
-                    .write(env, self.hb_send_counter)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Figure 5, lines 26–40: `ReceiveHeartbeat()`.
-    ///
-    /// Reads both heartbeat registers of each `q` every `hbTimeout[q]`
-    /// invocations. `q` is considered timely only if, **for both
-    /// registers**, the read aborted or returned a new value; otherwise
-    /// `q` leaves the active set and the timeout adapts upward.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn receive_heartbeat(&mut self, env: &dyn Env) -> SimResult<BTreeSet<ProcId>> {
-        // 27: for each q ∈ Π − {p}
-        for q in 0..self.n {
-            if q == self.p.0 {
-                continue;
-            }
-            env.tick()?; // local step: timer bookkeeping
-                         // 28: if hbTimer[q] ≥ 1 then hbTimer[q] ← hbTimer[q] − 1
-            if self.hb_timer[q] >= 1 {
-                self.hb_timer[q] -= 1;
-            }
-            // 29: if hbTimer[q] = 0 then
-            if self.hb_timer[q] == 0 {
-                // 30: hbTimer[q] ← hbTimeout[q]
-                self.hb_timer[q] = self.hb_timeout[q];
-                // 31–32: remember the previous samples.
-                self.prev_hb1[q] = self.hb1[q];
-                self.prev_hb2[q] = self.hb2[q];
-                // 33–34: sample both registers (⊥ becomes None).
-                self.hb1[q] = self.hb1_in[q]
-                    .as_ref()
-                    .expect("hb1 in register")
-                    .read(env)?
-                    .value();
-                self.hb2[q] = self.hb2_in[q]
-                    .as_ref()
-                    .expect("hb2 in register")
-                    .read(env)?
-                    .value();
-                // 35: fresh-or-aborted on BOTH registers ⇒ active.
-                let fresh1 = self.hb1[q].is_none() || self.hb1[q] != self.prev_hb1[q];
-                let fresh2 = self.hb2[q].is_none() || self.hb2[q] != self.prev_hb2[q];
-                if fresh1 && fresh2 {
-                    // 36: activeSet ← activeSet ∪ {q}
-                    self.active_set.insert(ProcId(q));
-                } else {
-                    // 38–39: activeSet ← activeSet − {q}; adapt timeout.
-                    self.active_set.remove(&ProcId(q));
-                    self.hb_timeout[q] += 1;
-                }
-            }
-        }
-        // 40: return activeSet
-        Ok(self.active_set.clone())
     }
 }
 
@@ -309,91 +145,11 @@ pub struct AbortableOmegaProcess {
 }
 
 impl AbortableOmegaProcess {
-    /// The main task body (Figure 6). Runs forever; returns only on halt.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn run(mut self, env: &dyn Env) -> SimResult<()> {
-        let n = self.n;
-        let p = self.p;
-        // { Initial state }
-        let mut leader = p;
-        let mut counter = vec![0i64; n];
-        let mut actr_to = vec![0i64; n];
-        let mut write_done = vec![false; n];
-        // 41: repeat forever
-        loop {
-            // 42: LEADER ← ?
-            set_leader(env, &self.handles.leader, None);
-            // 43: while CANDIDATE = false do skip
-            while !self.handles.candidate.get() {
-                env.tick()?;
-            }
-            // 44: self-punishment beyond the current leader's counter.
-            counter[p.0] = counter[p.0].max(counter[leader.0] + 1);
-            // 45: do … while CANDIDATE = true (lines 45–59)
-            loop {
-                env.tick()?;
-                // 46: SendHeartbeat(writeDone)
-                self.hb.send_heartbeat(env, &write_done)?;
-                // 47: activeSet ← ReceiveHeartbeat()
-                let active_set = self.hb.receive_heartbeat(env)?;
-                // 48: pick the active process with the smallest counter.
-                leader = *active_set
-                    .iter()
-                    .min_by_key(|&&q| (counter[q.0], q))
-                    .expect("activeSet always contains p");
-                // 49: LEADER ← leader
-                set_leader(env, &self.handles.leader, Some(leader));
-                // 50–53: assemble messages, punishing inactive processes.
-                let mut msg_to = vec![(0i64, 0i64); n];
-                for q in 0..n {
-                    if q == p.0 {
-                        continue;
-                    }
-                    // 51–52: ask inactive q to raise its counter beyond
-                    // the current leader's.
-                    if !active_set.contains(&ProcId(q)) {
-                        actr_to[q] = actr_to[q].max(counter[leader.0] + 1);
-                    }
-                    // 53: msgTo[q] ← ⟨counter[p], actrTo[q]⟩
-                    msg_to[q] = (counter[p.0], actr_to[q]);
-                }
-                // 54: writeDone ← WriteMsgs(msgTo)
-                write_done = self.msgs.write_msgs(env, &msg_to)?;
-                // 55: msgFrom ← ReadMsgs()
-                let msg_from = self.msgs.read_msgs(env)?;
-                // 56–58: adopt counters and apply received punishments.
-                for q in 0..n {
-                    if q == p.0 {
-                        continue;
-                    }
-                    let (cq, actr_from_q) = msg_from[q];
-                    counter[q] = cq;
-                    counter[p.0] = counter[p.0].max(actr_from_q);
-                }
-                // 59: while CANDIDATE = true
-                if !self.handles.candidate.get() {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-impl AbortableOmegaProcess {
-    /// Converts into the poll-driven [`Stepper`] form of the same
-    /// algorithm (the step engine's native backend).
-    ///
-    /// One [`step`](Stepper::step) executes exactly the code between two
-    /// consecutive `tick` points of [`run`](AbortableOmegaProcess::run) —
-    /// including the per-peer ticks inside the Figure 4/5 channel
-    /// sub-routines — with register operations straddling step boundaries
-    /// (invoke at the end of one segment, complete at the start of the
-    /// next). Both forms produce identical traces under the same schedule.
+    /// The Figure 6 main loop, with the Figure 4/5 sub-routines inlined,
+    /// as a poll-driven [`Stepper`]. Runs forever.
     pub fn into_stepper(self) -> AbortableOmegaStepper {
         let n = self.n;
+        // { Initial state }
         AbortableOmegaStepper {
             leader: self.p,
             counter: vec![0; n],
@@ -409,45 +165,59 @@ impl AbortableOmegaProcess {
 /// Where the Figure 4–6 control flow is parked between steps. `Body`
 /// variants name the per-peer segment the next step executes; `Pending`
 /// variants carry the token of an in-flight register operation.
+///
+/// Each iteration of a `for each q ∈ Π − {p}` loop in Figures 4 and 5
+/// costs one local step (the `Body` segments), plus two steps per
+/// register operation it performs.
 #[derive(Clone, Copy)]
 enum AbState {
-    /// Lines 41–43: top of the outer loop.
+    /// Line 41: the top of `repeat forever`; runs lines 42–44.
     Start,
-    /// Line 43: waiting to become a candidate.
+    /// Line 43: `while CANDIDATE = false do skip` — one step per check.
     WaitCand,
-    /// Line 45 head tick consumed: start `SendHeartbeat` (line 46).
+    /// Line 45: one iteration of `do … while CANDIDATE = true` costs one
+    /// step; this segment enters `SendHeartbeat` (line 46, Figure 5
+    /// line 21).
     MainHead,
-    /// Figure 5, lines 22–25: the per-`q` body of `SendHeartbeat`.
+    /// Figure 5, lines 22–25: the per-`q` step of `SendHeartbeat`.
     SendBody { q: usize },
-    /// The `HbRegister1[p, q]` write is in flight.
+    /// Figure 5: the `WRITE(HbRegister1[p, q], hbSendCounter)` is in
+    /// flight.
     SendHb1Pending { q: usize, tok: OpToken },
-    /// The `HbRegister2[p, q]` write is in flight.
+    /// Figure 5: the `WRITE(HbRegister2[p, q], hbSendCounter)` is in
+    /// flight.
     SendHb2Pending { q: usize, tok: OpToken },
-    /// Figure 5, lines 28–39: the per-`q` body of `ReceiveHeartbeat`.
+    /// Figure 5, lines 27–30: the per-`q` step of `ReceiveHeartbeat`.
     RecvBody { q: usize },
-    /// The `HbRegister1[q, p]` read is in flight.
+    /// Figure 5, line 33: the `READ(HbRegister1[q, p])` is in flight.
     RecvHb1Pending { q: usize, tok: OpToken },
-    /// The `HbRegister2[q, p]` read is in flight.
+    /// Figure 5, line 34: the `READ(HbRegister2[q, p])` is in flight.
     RecvHb2Pending { q: usize, tok: OpToken },
-    /// Figure 4, lines 3–6: the per-`q` body of `WriteMsgs`.
+    /// Figure 4, lines 2–4: the per-`q` step of `WriteMsgs`.
     WriteBody { q: usize },
-    /// The `MsgRegister[p, q]` write is in flight.
+    /// Figure 4, line 5: the `WRITE(MsgRegister[p, q], msgCurr[q])` is in
+    /// flight.
     WritePending { q: usize, tok: OpToken },
-    /// Figure 4, lines 10–18: the per-`q` body of `ReadMsgs`.
+    /// Figure 4, lines 9–12: the per-`q` step of `ReadMsgs`.
     ReadBody { q: usize },
-    /// The `MsgRegister[q, p]` read is in flight.
+    /// Figure 4, line 13: the `READ(MsgRegister[q, p])` is in flight.
     ReadPending { q: usize, tok: OpToken },
 }
 
-/// Poll-driven form of [`AbortableOmegaProcess`]: the Figure 6 main loop
-/// (with the Figure 4/5 channel sub-routines inlined) as a [`Stepper`]
-/// state machine. Built with [`AbortableOmegaProcess::into_stepper`].
+/// The Figure 6 main loop of one process, with the Figure 4/5 channel
+/// sub-routines inlined, as a [`Stepper`] state machine. Built with
+/// [`AbortableOmegaProcess::into_stepper`].
 pub struct AbortableOmegaStepper {
     proc: AbortableOmegaProcess,
+    /// `leader`: the last leader chosen on line 48.
     leader: ProcId,
+    /// `counter[q]`: the local view of every process's counter.
     counter: Vec<i64>,
+    /// `actrTo[q]`: the counter value `q` is asked to exceed.
     actr_to: Vec<i64>,
+    /// `writeDone`: what `WriteMsgs` returned (line 54).
     write_done: Vec<bool>,
+    /// `msgTo[q]` (line 53).
     msg_to: Vec<Msg>,
     state: AbState,
 }
@@ -460,12 +230,14 @@ impl AbortableOmegaStepper {
 
     /// Line 42, then fall through to the line-43 check.
     fn outer_top(&mut self, env: &dyn Env) {
+        // 42: LEADER ← ?
         set_leader(env, &self.proc.handles.leader, None);
         self.arm_or_wait(env);
     }
 
     /// Line 43; on candidacy, line 44 and entry into the line-45 loop.
     fn arm_or_wait(&mut self, _env: &dyn Env) {
+        // 43: while CANDIDATE = false do skip
         if !self.proc.handles.candidate.get() {
             self.state = AbState::WaitCand;
             return;
@@ -476,7 +248,8 @@ impl AbortableOmegaStepper {
         self.state = AbState::MainHead;
     }
 
-    /// Advances the `SendHeartbeat` loop past peer `q`.
+    /// Advances the `SendHeartbeat` loop (Figure 5, line 22) past peer
+    /// `q`.
     fn advance_send(&mut self, env: &dyn Env, q: usize) {
         match self.next_other(q + 1) {
             Some(q) => self.state = AbState::SendBody { q },
@@ -484,7 +257,7 @@ impl AbortableOmegaStepper {
         }
     }
 
-    /// Line 47: enter `ReceiveHeartbeat`.
+    /// Line 47: enter `ReceiveHeartbeat` (Figure 5, line 27).
     fn begin_receive(&mut self, env: &dyn Env) {
         match self.next_other(0) {
             Some(q) => self.state = AbState::RecvBody { q },
@@ -492,7 +265,8 @@ impl AbortableOmegaStepper {
         }
     }
 
-    /// Advances the `ReceiveHeartbeat` loop past peer `q`.
+    /// Advances the `ReceiveHeartbeat` loop (Figure 5, line 27) past peer
+    /// `q`.
     fn advance_recv(&mut self, env: &dyn Env, q: usize) {
         match self.next_other(q + 1) {
             Some(q) => self.state = AbState::RecvBody { q },
@@ -500,9 +274,11 @@ impl AbortableOmegaStepper {
         }
     }
 
-    /// Lines 48–53, then entry into `WriteMsgs` (line 54).
+    /// Figure 5 line 40 (`return activeSet`), lines 48–53, then entry
+    /// into `WriteMsgs` (line 54, Figure 4 line 2).
     fn finish_receive(&mut self, env: &dyn Env) {
         let p = self.proc.p.0;
+        // 47: activeSet ← ReceiveHeartbeat()
         // 48: pick the active process with the smallest counter.
         self.leader = *self
             .proc
@@ -518,9 +294,12 @@ impl AbortableOmegaStepper {
             if q == p {
                 continue;
             }
+            // 51–52: ask inactive q to raise its counter beyond the
+            // current leader's.
             if !self.proc.hb.active_set.contains(&ProcId(q)) {
                 self.actr_to[q] = self.actr_to[q].max(self.counter[self.leader.0] + 1);
             }
+            // 53: msgTo[q] ← ⟨counter[p], actrTo[q]⟩
             self.msg_to[q] = (self.counter[p], self.actr_to[q]);
         }
         match self.next_other(0) {
@@ -529,7 +308,7 @@ impl AbortableOmegaStepper {
         }
     }
 
-    /// Advances the `WriteMsgs` loop past peer `q`.
+    /// Advances the `WriteMsgs` loop (Figure 4, line 2) past peer `q`.
     fn advance_write(&mut self, env: &dyn Env, q: usize) {
         match self.next_other(q + 1) {
             Some(q) => self.state = AbState::WriteBody { q },
@@ -537,8 +316,10 @@ impl AbortableOmegaStepper {
         }
     }
 
-    /// Figure 4 line 7 / line 54, then entry into `ReadMsgs` (line 55).
+    /// Figure 4 line 7 / line 54, then entry into `ReadMsgs` (line 55,
+    /// Figure 4 line 9).
     fn finish_writes(&mut self, env: &dyn Env) {
+        // 7: return prevWriteDone; 54: writeDone ← WriteMsgs(msgTo)
         self.write_done = self.proc.msgs.prev_write_done.clone();
         match self.next_other(0) {
             Some(q) => self.state = AbState::ReadBody { q },
@@ -546,7 +327,7 @@ impl AbortableOmegaStepper {
         }
     }
 
-    /// Advances the `ReadMsgs` loop past peer `q`.
+    /// Advances the `ReadMsgs` loop (Figure 4, line 9) past peer `q`.
     fn advance_read(&mut self, env: &dyn Env, q: usize) {
         match self.next_other(q + 1) {
             Some(q) => self.state = AbState::ReadBody { q },
@@ -557,6 +338,8 @@ impl AbortableOmegaStepper {
     /// Lines 56–58, then the line-59 re-check.
     fn finish_reads(&mut self, env: &dyn Env) {
         let p = self.proc.p.0;
+        // 19: return prevMsgFrom; 55: msgFrom ← ReadMsgs()
+        // 56–58: adopt counters and apply received punishments.
         for q in 0..self.proc.n {
             if q == p {
                 continue;
@@ -590,6 +373,8 @@ impl Stepper for AbortableOmegaStepper {
                 }
             }
             AbState::SendBody { q } => {
+                // 22–25: write both registers of every destination
+                // (dest = writeDone); write aborts are ignored.
                 if self.write_done[q] {
                     let hb = &self.proc.hb;
                     let tok = hb.hb1_out[q]
@@ -626,11 +411,14 @@ impl Stepper for AbortableOmegaStepper {
                 if hb.hb_timer[q] >= 1 {
                     hb.hb_timer[q] -= 1;
                 }
-                // 29–34: sample both registers when the timer fires.
+                // 29: if hbTimer[q] = 0 then
                 if hb.hb_timer[q] == 0 {
+                    // 30: hbTimer[q] ← hbTimeout[q]
                     hb.hb_timer[q] = hb.hb_timeout[q];
+                    // 31–32: remember the previous samples.
                     hb.prev_hb1[q] = hb.hb1[q];
                     hb.prev_hb2[q] = hb.hb2[q];
+                    // 33: invoke the first read.
                     let tok = hb.hb1_in[q]
                         .as_ref()
                         .expect("hb1 in register")
@@ -641,6 +429,7 @@ impl Stepper for AbortableOmegaStepper {
                 }
             }
             AbState::RecvHb1Pending { q, tok } => {
+                // 33: response (⊥ becomes None); 34: invoke the second read.
                 let hb = &mut self.proc.hb;
                 hb.hb1[q] = hb.hb1_in[q]
                     .as_ref()
@@ -654,6 +443,7 @@ impl Stepper for AbortableOmegaStepper {
                 self.state = AbState::RecvHb2Pending { q, tok };
             }
             AbState::RecvHb2Pending { q, tok } => {
+                // 34: response.
                 let hb = &mut self.proc.hb;
                 hb.hb2[q] = hb.hb2_in[q]
                     .as_ref()
@@ -664,8 +454,10 @@ impl Stepper for AbortableOmegaStepper {
                 let fresh1 = hb.hb1[q].is_none() || hb.hb1[q] != hb.prev_hb1[q];
                 let fresh2 = hb.hb2[q].is_none() || hb.hb2[q] != hb.prev_hb2[q];
                 if fresh1 && fresh2 {
+                    // 36: activeSet ← activeSet ∪ {q}
                     hb.active_set.insert(ProcId(q));
                 } else {
+                    // 38–39: activeSet ← activeSet − {q}; adapt timeout.
                     hb.active_set.remove(&ProcId(q));
                     hb.hb_timeout[q] += 1;
                 }
@@ -675,9 +467,11 @@ impl Stepper for AbortableOmegaStepper {
                 let msgs = &mut self.proc.msgs;
                 // 3: if (not prevWriteDone[q]) or msgCurr[q] ≠ msgTo[q]
                 if !msgs.prev_write_done[q] || msgs.msg_curr[q] != self.msg_to[q] {
+                    // 4: if prevWriteDone[q] then msgCurr[q] := msgTo[q]
                     if msgs.prev_write_done[q] {
                         msgs.msg_curr[q] = self.msg_to[q];
                     }
+                    // 5: res ← WRITE(MsgRegister[p, q], msgCurr[q])
                     let tok = msgs.out[q]
                         .as_ref()
                         .expect("out register for peer")
@@ -688,6 +482,7 @@ impl Stepper for AbortableOmegaStepper {
                 }
             }
             AbState::WritePending { q, tok } => {
+                // 5: response; 6: prevWriteDone[q] ← (res = ok)
                 let msgs = &mut self.proc.msgs;
                 let res = msgs.out[q]
                     .as_ref()
@@ -702,9 +497,11 @@ impl Stepper for AbortableOmegaStepper {
                 if msgs.read_timer[q] >= 1 {
                     msgs.read_timer[q] -= 1;
                 }
-                // 11–13: read when the timer fires.
+                // 11: if readTimer[q] = 0 then
                 if msgs.read_timer[q] == 0 {
+                    // 12: readTimer[q] ← readTimeout[q]
                     msgs.read_timer[q] = msgs.read_timeout[q];
+                    // 13: res[q] ← READ(MsgRegister[q, p])
                     let tok = msgs.inn[q]
                         .as_ref()
                         .expect("in register for peer")
@@ -715,16 +512,19 @@ impl Stepper for AbortableOmegaStepper {
                 }
             }
             AbState::ReadPending { q, tok } => {
+                // 13: response.
                 let msgs = &mut self.proc.msgs;
                 let res = msgs.inn[q]
                     .as_ref()
                     .expect("in register for peer")
                     .complete_read(env, tok);
                 match res {
+                    // 14–15: abort or stale ⇒ back off.
                     ReadOutcome::Aborted => msgs.read_timeout[q] += 1,
                     ReadOutcome::Value(v) if v == msgs.prev_msg_from[q] => {
                         msgs.read_timeout[q] += 1;
                     }
+                    // 16–18: fresh value ⇒ record it, reset the backoff.
                     ReadOutcome::Value(v) => {
                         msgs.prev_msg_from[q] = v;
                         msgs.read_timeout[q] = 1;

@@ -112,7 +112,7 @@ impl Stepper for CanonicalBlinkDriver {
         }
         // Consume exactly one step, running any zero-length phase
         // transitions first (a phase of length 0 falls through without
-        // spending a step, exactly like the blocking `for _ in 0..0`).
+        // spending a step).
         loop {
             match self.phase {
                 BlinkPhase::On => {
@@ -190,9 +190,6 @@ pub fn add_external_candidate_driver(
 
 /// Adds a driver task for process `pid` that follows `script`, observing
 /// every change of `candidate_p` into the trace.
-///
-/// The driver is a [`Stepper`]; on the simulator it runs on the poll
-/// backend, on other spawners through the blocking adapter.
 pub fn add_candidate_driver(
     spawner: &mut dyn TaskSpawner,
     pid: ProcId,

@@ -145,7 +145,7 @@ pub fn install_omega_with(
                     p: ProcId(p),
                     n,
                     handles: handles[p].clone(),
-                    msgs: MsgChannels::new(ProcId(p), n, out, inn),
+                    msgs: MsgChannels::new(n, out, inn),
                     hb: HeartbeatChannels::new(ProcId(p), n, hb1_out, hb2_out, hb1_in, hb2_in),
                 };
                 spawner.spawn_stepper(ProcId(p), "omega", Box::new(proc.into_stepper()));
@@ -234,63 +234,34 @@ mod tests {
         let _ = run_omega_system(&cfg, RunConfig::new(100, RoundRobin::new()));
     }
 
-    /// A spawner that hides its inner builder's native poll backend, so
-    /// every stepper goes through the default blocking adapter and runs
-    /// on a gate-backed thread.
-    struct ThreadBackend<'a>(&'a mut SimBuilder);
-
-    impl TaskSpawner for ThreadBackend<'_> {
-        fn spawn_task(&mut self, pid: ProcId, name: &str, body: tbwf_sim::TaskBody) {
-            self.0.spawn_task(pid, name, body);
-        }
-    }
-
-    /// Satellite of the step-engine refactor: the *same* Ω∆ system —
-    /// algorithm tasks, monitor mesh, candidate drivers — must produce
-    /// byte-identical step and observation traces whether its steppers
-    /// run on the poll backend or through the blocking-thread adapter.
+    /// Golden pins: the *same* Ω∆ systems — algorithm tasks, monitor
+    /// mesh, candidate drivers — run as blocking closures on the
+    /// thread-per-task backend the steppers replaced produced these trace
+    /// digests. The steppers must reproduce them step for step.
     #[test]
-    fn backends_agree_on_full_omega_system() {
-        for kind in [OmegaKind::Atomic, OmegaKind::Abortable] {
-            let run_once = |threads: bool| {
-                let n = 3;
-                let factory = RegisterFactory::new(RegisterFactoryConfig::default());
-                let mut b = SimBuilder::new();
-                for p in 0..n {
-                    b.add_process(&format!("p{p}"));
-                }
-                let scripts = [
-                    CandidateScript::Always,
-                    CandidateScript::Blink { on: 40, off: 40 },
-                    CandidateScript::From(100),
-                ];
-                let handles;
-                if threads {
-                    let mut t = ThreadBackend(&mut b);
-                    handles = install_omega(&mut t, &factory, n, kind);
-                    for p in 0..n {
-                        add_candidate_driver(&mut t, ProcId(p), &handles[p], scripts[p]);
-                    }
-                } else {
-                    handles = install_omega(&mut b, &factory, n, kind);
-                    for p in 0..n {
-                        add_candidate_driver(&mut b, ProcId(p), &handles[p], scripts[p]);
-                    }
-                }
-                b.build().run(RunConfig::new(12_000, RoundRobin::new()))
-            };
-            let poll = run_once(false);
-            let thread = run_once(true);
-            poll.assert_no_panics();
-            thread.assert_no_panics();
-            assert_eq!(
-                poll.trace.steps, thread.trace.steps,
-                "{kind:?}: step traces diverge across backends"
-            );
-            assert_eq!(
-                poll.trace.obs, thread.trace.obs,
-                "{kind:?}: observation traces diverge across backends"
-            );
+    fn full_omega_systems_reproduce_blocking_reference_digests() {
+        for (kind, digest) in [
+            (OmegaKind::Atomic, 0x190b_72ec_0e12_ec24),
+            (OmegaKind::Abortable, 0x0a55_0bf1_8aa4_faef),
+        ] {
+            let n = 3;
+            let factory = RegisterFactory::new(RegisterFactoryConfig::default());
+            let mut b = SimBuilder::new();
+            for p in 0..n {
+                b.add_process(&format!("p{p}"));
+            }
+            let scripts = [
+                CandidateScript::Always,
+                CandidateScript::Blink { on: 40, off: 40 },
+                CandidateScript::From(100),
+            ];
+            let handles = install_omega(&mut b, &factory, n, kind);
+            for p in 0..n {
+                add_candidate_driver(&mut b, ProcId(p), &handles[p], scripts[p]);
+            }
+            let report = b.build().run(RunConfig::new(12_000, RoundRobin::new()));
+            report.assert_no_panics();
+            assert_eq!(report.trace.digest(), digest, "{kind:?}");
         }
     }
 }

@@ -19,7 +19,7 @@ use crate::drivers::add_candidate_driver;
 use crate::harness::install_omega;
 use crate::{CandidateScript, OmegaHandles, OmegaKind};
 use tbwf_registers::RegisterFactory;
-use tbwf_sim::{Env, Local, ProcId, SimBuilder};
+use tbwf_sim::{Control, Local, ProcId, SimBuilder, StepCtx};
 
 /// Observation key for the Ω output (always a process id).
 pub const OBS_OMEGA: &str = "omega_leader";
@@ -54,20 +54,25 @@ pub fn install_omega_fd(
         };
         let leader_in = dh.leader.clone();
         let leader_out = out.leader.clone();
-        builder.add_task(ProcId(p), "omega-fd", move |env| {
-            let mut last = leader_out.get();
-            env.observe(OBS_OMEGA, 0, last.0 as i64);
-            loop {
-                if let Some(l) = leader_in.get() {
-                    if l != last {
-                        last = l;
-                        leader_out.set(l);
-                        env.observe(OBS_OMEGA, 0, l.0 as i64);
-                    }
+        // The last estimate; `None` until the first step observes it.
+        let mut last = None;
+        let adapter = move |ctx: &mut StepCtx<'_>| {
+            let cur = last.unwrap_or_else(|| {
+                let l = leader_out.get();
+                ctx.observe(OBS_OMEGA, 0, l.0 as i64);
+                l
+            });
+            last = Some(match leader_in.get() {
+                Some(l) if l != cur => {
+                    leader_out.set(l);
+                    ctx.observe(OBS_OMEGA, 0, l.0 as i64);
+                    l
                 }
-                env.tick()?;
-            }
-        });
+                _ => cur,
+            });
+            Control::Yield
+        };
+        builder.add_stepper(ProcId(p), "omega-fd", Box::new(adapter));
         fd_handles.push(out);
     }
     fd_handles
@@ -130,6 +135,16 @@ mod tests {
             assert_eq!(handles[p].leader.get(), l, "survivors disagree");
         }
         assert!(report.trace.crash_time(ProcId(0)).is_some());
+    }
+
+    #[test]
+    fn adapter_reproduces_blocking_reference_digest() {
+        // Golden pin: the digest of this run with the adapter written as a
+        // blocking closure on the thread-per-task backend it replaced.
+        let (_, report) = run_fd(3, OmegaKind::Atomic, || {
+            RunConfig::new(20_000, RoundRobin::new())
+        });
+        assert_eq!(report.trace.digest(), 0x44f7_ab35_708a_44bd);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use tbwf_sim::{Env, ProcId, SimResult};
+use tbwf_sim::{Env, ProcId};
 
 /// Per-process counters of operations currently in flight (invoked but
 /// not yet completed) across all registers of one factory.
@@ -429,23 +429,30 @@ impl SimSafeReg {
 }
 
 impl SafeRegister for SimSafeReg {
-    fn write(&self, env: &dyn Env, v: u64) -> SimResult<()> {
-        let invoked = env.now();
-        let id = self
-            .core
-            .begin(env, OpKind::Write, env.pid(), invoked, None);
-        env.tick()?;
-        let (res, ()) = self.core.resolve_apply(id, |_, value| *value = v);
-        self.core
-            .record(env, invoked, OpKind::Write, &res, false, true);
-        Ok(())
+    fn invoke_write(&self, env: &dyn Env, v: u64) -> OpToken {
+        OpToken::new(
+            self.core
+                .begin(env, OpKind::Write, env.pid(), env.now(), Some(v)),
+        )
     }
 
-    fn read(&self, env: &dyn Env) -> SimResult<u64> {
-        let invoked = env.now();
-        let id = self.core.begin(env, OpKind::Read, env.pid(), invoked, None);
-        env.tick()?;
-        let (res, stored) = self.core.resolve_apply(id, |_, value| *value);
+    fn complete_write(&self, env: &dyn Env, tok: OpToken) {
+        let (res, ()) = self.core.resolve_apply(tok.raw(), |res, value| {
+            *value = res.payload.take().expect("write resolved without payload");
+        });
+        self.core
+            .record(env, res.invoked, OpKind::Write, &res, false, true);
+    }
+
+    fn invoke_read(&self, env: &dyn Env) -> OpToken {
+        OpToken::new(
+            self.core
+                .begin(env, OpKind::Read, env.pid(), env.now(), None),
+        )
+    }
+
+    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> u64 {
+        let (res, stored) = self.core.resolve_apply(tok.raw(), |_, value| *value);
         let v = if res.overlapped_write {
             // Arbitrary value: safe semantics under read/write overlap.
             (res.u_abort * u64::MAX as f64) as u64
@@ -453,15 +460,15 @@ impl SafeRegister for SimSafeReg {
             stored
         };
         self.core
-            .record(env, invoked, OpKind::Read, &res, false, false);
-        Ok(v)
+            .record(env, res.invoked, OpKind::Read, &res, false, false);
+        v
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbwf_sim::FreeRunEnv;
+    use tbwf_sim::{FreeRunEnv, SimResult};
 
     fn log() -> Arc<OpLog> {
         Arc::new(OpLog::new())

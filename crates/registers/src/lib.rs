@@ -8,9 +8,11 @@
 //! **concurrent** iff their invoke–response intervals overlap. The
 //! simulated registers here implement exactly that:
 //!
-//! * an operation registers its invocation, consumes one
-//!   [`Env::tick`](tbwf_sim::Env) (so the response happens on the
-//!   caller's *next* step, arbitrarily far in global time), then resolves;
+//! * an operation is *invoked* at the end of one step of the caller and
+//!   *completed* at the start of the caller's next step (arbitrarily far
+//!   in global time): the `invoke_*`/`complete_*` pair that stepper code
+//!   uses. The blocking `read`/`write` forms, which the native backend
+//!   uses, are derived from that pair with one [`Env::tick`] in between;
 //! * an **atomic** register linearizes at the response and never aborts;
 //! * a **safe** register returns an arbitrary (seeded) value when a read
 //!   overlaps a write;
@@ -49,7 +51,7 @@ mod outcome;
 mod policy;
 pub mod stats;
 
-pub use cas::{CasRegister, SharedCas};
+pub use cas::{CasOp, CasRegister, SharedCas};
 pub use core_reg::InflightGauges;
 pub use factory::{RegisterFactory, RegisterFactoryConfig};
 pub use outcome::{ReadOutcome, WriteOutcome};
@@ -180,18 +182,43 @@ pub trait AbortableRegister<T: Clone>: Send + Sync {
 /// seeded pseudo-random one). Included to demonstrate that abortable
 /// registers are *weaker* than safe registers: a safe write always takes
 /// effect, an abortable one may not.
+///
+/// As with [`AtomicRegister`], the blocking forms are derived from the
+/// two-phase (poll) form.
 pub trait SafeRegister: Send + Sync {
-    /// Writes `v` (always takes effect).
-    ///
-    /// # Errors
-    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn write(&self, env: &dyn Env, v: u64) -> SimResult<()>;
+    /// Invocation step of a write of `v` (the value is captured now).
+    fn invoke_write(&self, env: &dyn Env, v: u64) -> OpToken;
 
-    /// Reads; an overlapping write makes the result arbitrary.
+    /// Response step of a write (always takes effect).
+    fn complete_write(&self, env: &dyn Env, tok: OpToken);
+
+    /// Invocation step of a read.
+    fn invoke_read(&self, env: &dyn Env) -> OpToken;
+
+    /// Response step of a read; an overlapping write makes the result
+    /// arbitrary.
+    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> u64;
+
+    /// Writes `v` (blocking form).
     ///
     /// # Errors
     /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn read(&self, env: &dyn Env) -> SimResult<u64>;
+    fn write(&self, env: &dyn Env, v: u64) -> SimResult<()> {
+        let tok = self.invoke_write(env, v);
+        env.tick()?;
+        self.complete_write(env, tok);
+        Ok(())
+    }
+
+    /// Reads (blocking form).
+    ///
+    /// # Errors
+    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
+    fn read(&self, env: &dyn Env) -> SimResult<u64> {
+        let tok = self.invoke_read(env);
+        env.tick()?;
+        Ok(self.complete_read(env, tok))
+    }
 }
 
 /// Shorthand for a shared atomic register handle.

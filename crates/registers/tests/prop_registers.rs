@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use tbwf_registers::{
     AbortPolicy, EffectPolicy, ReadOutcome, RegisterFactory, RegisterFactoryConfig, WriteOutcome,
 };
-use tbwf_sim::{FreeRunEnv, ProcId};
+use tbwf_sim::{Env, FreeRunEnv, ProcId};
 
 #[derive(Clone, Copy, Debug)]
 enum SeqOp {
@@ -91,10 +91,14 @@ proptest! {
         let env = FreeRunEnv::new(ProcId(0));
         let mut model = 0i64;
         for (expected, new) in ops {
-            let ok = r.compare_and_swap(&env, &expected, new).unwrap();
+            let op = r.invoke_cas(&env, expected, new);
+            env.tick().unwrap();
+            let ok = r.complete_cas(&env, op);
             prop_assert_eq!(ok, model == expected);
             if ok { model = new; }
-            prop_assert_eq!(r.read(&env).unwrap(), model);
+            let tok = r.invoke_read(&env);
+            env.tick().unwrap();
+            prop_assert_eq!(r.complete_read(&env, tok), model);
         }
     }
 

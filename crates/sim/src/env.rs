@@ -1,11 +1,9 @@
 //! The environment through which algorithm code consumes steps.
 
-use crate::gate::Gate;
 use crate::halt::SimResult;
-use crate::ids::{ProcId, TaskId};
-use crate::trace::{ObsBuf, TraceSink};
+use crate::ids::ProcId;
+use crate::trace::TraceSink;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Shared crash flags: one bit per process, set by the runner the moment
 /// a crash (from the static plan or a nemesis injection) takes effect.
@@ -43,21 +41,25 @@ impl CrashFlags {
 /// The interface between algorithm code and its runtime.
 ///
 /// All the algorithms of the paper (Figures 2–7) are written against this
-/// trait, so the same code runs on the deterministic simulator
-/// ([`TaskEnv`]) and on a real-thread backend (the `native` module of
-/// `tbwf-registers`).
+/// trait, so the same code runs on the deterministic simulator (whose
+/// per-step env is handed to each [`Stepper`](crate::Stepper) through
+/// [`StepCtx`](crate::StepCtx)) and on a real-thread backend (the
+/// `native` module of `tbwf-registers`).
 ///
-/// A *step* in the sense of Section 3 of the paper is consumed by every
-/// call to [`Env::tick`]; register operations consume one step for the
-/// invocation and one for the response by calling `tick` internally.
-pub trait Env: Send + Sync {
-    /// Consume one step of this process.
+/// A *step* in the sense of Section 3 of the paper is one segment of a
+/// stepper in the simulator. Blocking code — the native backend and
+/// free-running tests — consumes a step with [`Env::tick`] instead;
+/// blocking register operations call it between invocation and response.
+pub trait Env {
+    /// Consume one step of this process (blocking code only).
+    ///
+    /// The simulator's step env panics here: a stepper consumes steps by
+    /// returning [`Control::Yield`](crate::Control::Yield).
     ///
     /// # Errors
     ///
-    /// Returns [`Halted`](crate::Halted) when the run is over (or the
-    /// process has crashed and the run is being torn down); the task must
-    /// propagate it and return.
+    /// Returns [`Halted`](crate::Halted) when the run is over; the caller
+    /// must propagate it and return.
     fn tick(&self) -> SimResult<()>;
 
     /// Current global time (number of steps taken by all processes so far).
@@ -81,48 +83,6 @@ pub trait Env: Send + Sync {
     /// thread backend) use this default and report every process alive.
     fn is_crashed(&self, _p: ProcId) -> bool {
         false
-    }
-}
-
-/// Simulator-backed environment handed to each task closure.
-#[derive(Clone)]
-pub struct TaskEnv {
-    pub(crate) tid: TaskId,
-    pub(crate) gate: Arc<Gate>,
-    pub(crate) clock: Arc<AtomicU64>,
-    pub(crate) obs: ObsBuf,
-    pub(crate) crashed: Arc<CrashFlags>,
-}
-
-impl Env for TaskEnv {
-    fn tick(&self) -> SimResult<()> {
-        self.gate.tick()
-    }
-
-    fn now(&self) -> u64 {
-        // Relaxed: the runner stores the clock before granting the step,
-        // and the grant itself is a gate rendezvous whose mutex provides
-        // the happens-before edge to this task thread.
-        self.clock.load(Ordering::Relaxed)
-    }
-
-    fn pid(&self) -> ProcId {
-        self.tid.proc
-    }
-
-    fn observe(&self, key: &'static str, idx: u32, value: i64) {
-        self.obs.record(self.now(), self.tid.proc, key, idx, value);
-    }
-
-    fn is_crashed(&self, p: ProcId) -> bool {
-        self.crashed.get(p)
-    }
-}
-
-impl TaskEnv {
-    /// The full task identifier (process + task index).
-    pub fn task_id(&self) -> TaskId {
-        self.tid
     }
 }
 

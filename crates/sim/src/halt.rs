@@ -3,25 +3,16 @@
 use std::error::Error;
 use std::fmt;
 
-/// Signal that the simulation has ended and the task must unwind.
+/// Signal that a run has ended and a blocking task must unwind.
 ///
-/// The algorithms of the paper are written as `repeat forever` loops; a
-/// run of the simulator executes a finite number of steps and then stops
-/// granting steps. How a task experiences that depends on its backend:
-///
-/// * A poll-driven [`Stepper`](crate::Stepper) task simply never has its
-///   `step` called again — it needs no halt signal at all, and `Halted`
-///   never reaches it.
-/// * A blocking-closure task is parked inside
-///   [`Env::tick`](crate::Env::tick) (or a register operation) on its
-///   rendezvous gate; at teardown the gate is switched to halt mode, the
-///   `tick` returns `Err(Halted)`, and the body propagates it with `?`
-///   so its thread can be joined.
-///
-/// A *crashed* process is handled the same way: in the model a crashed
-/// process simply stops taking steps, which the runner implements by
-/// never scheduling it again; at the end of the run any of its tasks
-/// still parked on a gate are released with `Halted`.
+/// The algorithms of the paper are written as `repeat forever` loops. In
+/// the simulator they are [`Stepper`](crate::Stepper)s, which need no
+/// halt signal: when the run ends (or their process crashes) `step` is
+/// simply never called again. Blocking code — the native thread backend
+/// and free-running tests — consumes steps through
+/// [`Env::tick`](crate::Env::tick) and blocking register operations;
+/// there a `tick` returns `Err(Halted)` once the run is being torn down,
+/// and the body propagates it with `?` so its thread can be joined.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Halted;
 

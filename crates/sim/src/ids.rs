@@ -1,4 +1,4 @@
-//! Identifiers for processes and tasks.
+//! Identifiers for processes.
 
 use std::fmt;
 
@@ -35,32 +35,6 @@ impl From<usize> for ProcId {
     }
 }
 
-/// Identifier of a task within the simulation.
-///
-/// A task is one cooperating loop of a process (the paper composes modules
-/// such as the Ω∆ main loop and the activity-monitor loops into a single
-/// automaton; each module is one task here). The process's steps rotate
-/// round-robin over its live tasks.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TaskId {
-    /// The owning process.
-    pub proc: ProcId,
-    /// Index of the task within the process (creation order).
-    pub index: usize,
-}
-
-impl fmt::Debug for TaskId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}#{}", self.proc, self.index)
-    }
-}
-
-impl fmt::Display for TaskId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}#{}", self.proc, self.index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,11 +49,6 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(ProcId(2).to_string(), "p2");
-        let t = TaskId {
-            proc: ProcId(1),
-            index: 4,
-        };
-        assert_eq!(t.to_string(), "p1#4");
     }
 
     #[test]

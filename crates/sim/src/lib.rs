@@ -20,27 +20,18 @@
 //!
 //! # The step engine
 //!
-//! Tasks run on one of two interchangeable backends:
-//!
-//! * **Steppers** (the fast path): a task is an explicit state machine
-//!   implementing [`Stepper`]; the scheduler *polls* it by calling
-//!   [`Stepper::step`] directly. Granting a step is a plain function
-//!   call — no threads, no locks, no condvar traffic.
-//! * **Blocking closures** (the compatibility path): a task is an
-//!   ordinary blocking Rust closure consuming steps via [`Env::tick`].
-//!   Each such task runs on its own OS thread behind a rendezvous gate
-//!   that admits exactly one step at a time.
-//!
-//! Both kinds coexist within one run (even within one process) and are
-//! step-for-step equivalent: one `step()` call runs exactly the code a
-//! blocking task would run between two consecutive `tick`s, and
-//! [`Control::Yield`] consumes the step exactly where the `tick` would.
-//! Since blocking register operations are derived from their
-//! invoke/complete pairs (see `tbwf-registers`), the step positions of an
-//! algorithm agree on both backends by construction, and every run is a
-//! deterministic function of `(program, schedule, seed)` regardless of
-//! which backend hosts which task. The [`step`] module documents the
-//! contract in detail.
+//! Every task is a poll-driven state machine implementing [`Stepper`].
+//! [`Sim::run`] is the paper's adversary as one synchronous loop: each
+//! time slot it asks the schedule for a process, rotates to that
+//! process's next live task and calls [`Stepper::step`] on it. Granting
+//! a step is a plain function call — no threads, no locks, no condvar
+//! traffic. One `step()` call runs one segment of the algorithm;
+//! [`Control::Yield`] consumes the step and [`Control::Done`] finishes
+//! the task. Register operations straddle segments through their
+//! invoke/complete pair (see `tbwf-registers`), and every run is a
+//! deterministic function of `(program, schedule, seed)`. The [`step`]
+//! module documents the contract in detail; a closure
+//! `FnMut(&mut StepCtx<'_>) -> Control` is a stepper too.
 //!
 //! # Fault injection
 //!
@@ -56,18 +47,20 @@
 //! # Example
 //!
 //! ```
-//! use tbwf_sim::{SimBuilder, RunConfig, schedule::RoundRobin, Env};
+//! use tbwf_sim::{Control, RunConfig, SimBuilder, StepCtx, schedule::RoundRobin};
 //!
 //! let mut b = SimBuilder::new();
 //! for p in 0..3 {
 //!     let pid = b.add_process(&format!("p{p}"));
-//!     b.add_task(pid, "main", move |env| {
-//!         for i in 0..10 {
-//!             env.observe("i", 0, i);
-//!             env.tick()?;
+//!     let mut i = 0;
+//!     b.add_stepper(pid, "main", Box::new(move |ctx: &mut StepCtx<'_>| {
+//!         if i == 10 {
+//!             return Control::Done;
 //!         }
-//!         Ok(())
-//!     });
+//!         ctx.observe("i", 0, i);
+//!         i += 1;
+//!         Control::Yield
+//!     }));
 //! }
 //! let report = b.build().run(RunConfig::new(1_000, RoundRobin::new()));
 //! assert_eq!(report.trace.obs_series(tbwf_sim::ProcId(0), "i", 0).len(), 10);
@@ -79,7 +72,6 @@
 pub mod analysis;
 mod env;
 pub mod executor;
-mod gate;
 mod halt;
 mod ids;
 pub mod json;
@@ -92,10 +84,10 @@ pub mod step;
 pub mod timeliness;
 pub mod trace;
 
-pub use env::{CrashFlags, Env, FreeRunEnv, TaskEnv};
+pub use env::{CrashFlags, Env, FreeRunEnv};
 pub use executor::{resolve_jobs, Executor};
 pub use halt::{Halted, SimResult};
-pub use ids::{ProcId, TaskId};
+pub use ids::ProcId;
 pub use json::Json;
 pub use local::{Local, LocalVec};
 pub use nemesis::{FaultAction, FaultEvent, FaultPlan, FaultTarget, Nemesis, Trigger};
@@ -104,6 +96,6 @@ pub use schedule::{
     Decision, DecisionLog, NemesisSchedule, Schedule, ScheduleCtl, ScheduleView, Scripted,
     ScriptedWindow, Tapped,
 };
-pub use spawner::{stepper_as_blocking_task, TaskBody, TaskSpawner};
+pub use spawner::TaskSpawner;
 pub use step::{Control, StepCtx, Stepper};
 pub use trace::{Obs, Trace};

@@ -453,16 +453,6 @@ impl Nemesis {
         Ok(())
     }
 
-    /// Whether an unfired [`Trigger::OnObs`] remains: only then does the
-    /// runner pay for collecting the granted step's observations.
-    pub(crate) fn wants_obs(&self) -> bool {
-        self.plan
-            .events
-            .iter()
-            .zip(&self.fired)
-            .any(|(e, f)| !f && matches!(e.trigger, Trigger::OnObs { .. }))
-    }
-
     /// Pre-step poll: fires [`Trigger::At`] / [`Trigger::AfterProcSteps`]
     /// events. Non-crash actions are applied internally; requested
     /// crashes are returned for the runner to apply.

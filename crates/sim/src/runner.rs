@@ -1,28 +1,17 @@
 //! The simulation runner: builds processes/tasks and executes a run.
 
-use crate::env::{CrashFlags, TaskEnv};
-use crate::gate::{Gate, Grant};
-use crate::halt::SimResult;
-use crate::ids::{ProcId, TaskId};
+use crate::env::CrashFlags;
+use crate::ids::ProcId;
 use crate::nemesis::Nemesis;
 use crate::schedule::{Schedule, ScheduleView};
 use crate::step::{Control, StepCtx, StepEnv, Stepper};
-use crate::trace::{ObsBuf, ObsSeq, Trace};
+use crate::trace::{Obs, Trace};
+use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-type TaskBody = Box<dyn FnOnce(TaskEnv) -> SimResult<()> + Send + 'static>;
-
-enum TaskSpecKind {
-    Thread(TaskBody),
-    Stepper(Box<dyn Stepper>),
-}
 
 struct TaskSpec {
     name: String,
-    kind: TaskSpecKind,
+    stepper: Box<dyn Stepper>,
 }
 
 struct ProcSpec {
@@ -32,8 +21,8 @@ struct ProcSpec {
 
 /// Builder for a simulated system.
 ///
-/// Add processes, then add one or more tasks to each; `build` spawns the
-/// task threads parked on their gates.
+/// Add processes, then add one or more stepper tasks to each; `build`
+/// returns the runnable system.
 #[derive(Default)]
 pub struct SimBuilder {
     procs: Vec<ProcSpec>,
@@ -56,29 +45,10 @@ impl SimBuilder {
 
     /// Adds a task to process `pid`.
     ///
-    /// The task body receives a [`TaskEnv`] and should propagate
-    /// [`Halted`](crate::Halted) with `?`. A body that returns `Ok(())`
-    /// simply finishes (useful for finite workloads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` was not returned by [`SimBuilder::add_process`].
-    pub fn add_task<F>(&mut self, pid: ProcId, name: &str, body: F)
-    where
-        F: FnOnce(TaskEnv) -> SimResult<()> + Send + 'static,
-    {
-        self.procs[pid.0].tasks.push(TaskSpec {
-            name: name.to_string(),
-            kind: TaskSpecKind::Thread(Box::new(body)),
-        });
-    }
-
-    /// Adds a poll-driven task to process `pid`.
-    ///
-    /// The stepper is driven by direct [`Stepper::step`] calls from the
-    /// scheduler — no thread is spawned for it. Stepper and thread-backed
-    /// tasks coexist freely within one process; see the
-    /// [`step`](crate::step) module for the equivalence contract.
+    /// The scheduler drives the stepper by direct [`Stepper::step`]
+    /// calls; see the [`step`](crate::step) module for the contract. A
+    /// stepper that returns [`Control::Done`] simply finishes (useful for
+    /// finite workloads).
     ///
     /// # Panics
     ///
@@ -86,7 +56,7 @@ impl SimBuilder {
     pub fn add_stepper(&mut self, pid: ProcId, name: &str, stepper: Box<dyn Stepper>) {
         self.procs[pid.0].tasks.push(TaskSpec {
             name: name.to_string(),
-            kind: TaskSpecKind::Stepper(stepper),
+            stepper,
         });
     }
 
@@ -95,102 +65,36 @@ impl SimBuilder {
         self.procs.len()
     }
 
-    /// Spawns all task threads (parked) and returns the runnable system.
+    /// Returns the runnable system.
     ///
     /// # Panics
     ///
     /// Panics if any process has no tasks.
     pub fn build(self) -> Sim {
-        let clock = Arc::new(AtomicU64::new(0));
-        // All-stepper systems run entirely on the scheduler thread, so
-        // their observation buffers can skip the cross-thread machinery
-        // (atomic stamp + mutex) the thread compat backend needs.
-        let all_steppers = self.procs.iter().all(|p| {
-            p.tasks
-                .iter()
-                .all(|t| matches!(t.kind, TaskSpecKind::Stepper(_)))
-        });
-        let obs_seq = if all_steppers {
-            ObsSeq::poll()
-        } else {
-            ObsSeq::shared()
-        };
-        let crash_flags = Arc::new(CrashFlags::new(self.procs.len()));
-        let mut procs = Vec::with_capacity(self.procs.len());
-        for (pi, spec) in self.procs.into_iter().enumerate() {
-            assert!(!spec.tasks.is_empty(), "process {} has no tasks", spec.name);
-            let mut tasks = Vec::with_capacity(spec.tasks.len());
-            for (ti, t) in spec.tasks.into_iter().enumerate() {
-                let obs = obs_seq.new_buf();
-                let backend = match t.kind {
-                    TaskSpecKind::Stepper(stepper) => TaskBackend::Stepper {
-                        stepper,
-                        env: StepEnv {
-                            pid: ProcId(pi),
-                            clock: Arc::clone(&clock),
-                            obs: obs.clone(),
-                            crashed: Arc::clone(&crash_flags),
-                        },
-                    },
-                    TaskSpecKind::Thread(body) => {
-                        let gate = Arc::new(Gate::new());
-                        let tid = TaskId {
-                            proc: ProcId(pi),
-                            index: ti,
-                        };
-                        let env = TaskEnv {
-                            tid,
-                            gate: Arc::clone(&gate),
-                            clock: Arc::clone(&clock),
-                            obs: obs.clone(),
-                            crashed: Arc::clone(&crash_flags),
-                        };
-                        let g2 = Arc::clone(&gate);
-                        let thread_name = format!("{}-{}", spec.name, t.name);
-                        let handle = std::thread::Builder::new()
-                            .name(thread_name)
-                            .stack_size(256 * 1024)
-                            .spawn(move || {
-                                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    if g2.wait_for_go().is_err() {
-                                        return Ok(());
-                                    }
-                                    body(env)
-                                }));
-                                g2.exit();
-                                match result {
-                                    Ok(_) => None,
-                                    Err(panic) => Some(panic_message(&*panic)),
-                                }
-                            })
-                            .expect("failed to spawn task thread");
-                        TaskBackend::Thread {
-                            gate,
-                            handle: Some(handle),
-                        }
-                    }
-                };
-                tasks.push(TaskRt {
-                    name: t.name,
-                    obs,
-                    backend,
-                    exited: false,
-                    finished: false,
-                    panic: None,
-                });
-            }
-            procs.push(ProcRt {
-                name: spec.name,
-                tasks,
-                cursor: 0,
-                crashed: false,
-            });
-        }
-        Sim {
-            procs,
-            clock,
-            crash_flags,
-        }
+        let procs = self
+            .procs
+            .into_iter()
+            .map(|spec| {
+                assert!(!spec.tasks.is_empty(), "process {} has no tasks", spec.name);
+                ProcRt {
+                    name: spec.name,
+                    tasks: spec
+                        .tasks
+                        .into_iter()
+                        .map(|t| TaskRt {
+                            name: t.name,
+                            stepper: t.stepper,
+                            exited: false,
+                            finished: false,
+                            panic: None,
+                        })
+                        .collect(),
+                    cursor: 0,
+                    crashed: false,
+                }
+            })
+            .collect();
+        Sim { procs }
     }
 }
 
@@ -204,29 +108,11 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The two execution backends a task can run on.
-enum TaskBackend {
-    /// Original backend: an OS thread parked behind a rendezvous gate;
-    /// granting a step costs two condvar handoffs.
-    Thread {
-        gate: Arc<Gate>,
-        handle: Option<JoinHandle<Option<String>>>,
-    },
-    /// Poll-driven backend: the scheduler calls `Stepper::step` directly;
-    /// granting a step is a plain function call.
-    Stepper {
-        stepper: Box<dyn Stepper>,
-        env: StepEnv,
-    },
-}
-
 struct TaskRt {
     name: String,
-    obs: ObsBuf,
-    backend: TaskBackend,
+    stepper: Box<dyn Stepper>,
     exited: bool,
-    /// Exited by completing (vs. by panicking); for thread tasks a panic
-    /// discovered at join time overrides this.
+    /// Exited by returning `Done` (vs. by panicking).
     finished: bool,
     panic: Option<String>,
 }
@@ -351,17 +237,14 @@ impl RunReport {
 /// A built system, ready to run once.
 pub struct Sim {
     procs: Vec<ProcRt>,
-    clock: Arc<AtomicU64>,
-    /// Shared with every task env so registers can tell that a process
-    /// has crashed (see [`crate::Env::is_crashed`]).
-    crash_flags: Arc<CrashFlags>,
 }
 
 impl Sim {
     /// Executes the run to completion and returns the report.
     ///
     /// The run ends when `max_steps` steps have been taken or no process is
-    /// runnable. All task threads are then halted and joined.
+    /// runnable. Tasks still looping at that point are simply never
+    /// polled again.
     ///
     /// # Panics
     ///
@@ -391,34 +274,34 @@ impl Sim {
                 panic!("invalid fault plan: {e}");
             }
         }
+        // Shared with every task env so registers can tell that a process
+        // has crashed (see [`crate::Env::is_crashed`]).
+        let crash_flags = CrashFlags::new(n);
         // Pre-size the trace buffers from the step budget so steady-state
         // recording never reallocates. Both reserves are capped: huge
         // budgets (the E11 n = 64 sweep asks for ~1.6e8 steps) would
         // otherwise pre-commit gigabytes before the first step runs.
         let steps_cap = (config.max_steps as usize).min(1 << 22);
         let total_tasks: usize = self.procs.iter().map(|p| p.tasks.len()).sum();
-        let per_task = ((config.max_steps as usize) / total_tasks.max(1)).min(1 << 16);
-        for proc in &self.procs {
-            for task in &proc.tasks {
-                task.obs.reserve(per_task);
-            }
-        }
+        let obs_cap = total_tasks * ((config.max_steps as usize) / total_tasks.max(1)).min(1 << 16);
+        // The run-wide observation log, in recording order. Every task
+        // appends to it through its per-step env.
+        let obs: RefCell<Vec<Obs>> = RefCell::new(Vec::with_capacity(obs_cap));
         let mut steps: Vec<ProcId> = Vec::with_capacity(steps_cap);
         let mut step_counts = vec![0u64; n];
         let mut crashes_applied: Vec<(u64, ProcId)> = Vec::new();
         config.crashes.sort_by_key(|(t, _)| *t);
         let mut crash_iter = config.crashes.iter().peekable();
-        // Scratch buffers reused across steps (the hot loop allocates
+        // Scratch buffer reused across steps (the hot loop allocates
         // nothing per iteration).
         let mut runnable = vec![false; n];
-        let mut step_obs: Vec<crate::trace::Obs> = Vec::new();
 
         for t in 0..config.max_steps {
             while let Some(&&(ct, cp)) = crash_iter.peek() {
                 if ct <= t {
                     if !self.procs[cp.0].crashed {
                         self.procs[cp.0].crashed = true;
-                        self.crash_flags.set(cp);
+                        crash_flags.set(cp);
                         crashes_applied.push((t, cp));
                     }
                     crash_iter.next();
@@ -430,7 +313,7 @@ impl Sim {
                 for cp in nem.poll_pre(t, &step_counts) {
                     if cp.0 < n && !self.procs[cp.0].crashed {
                         self.procs[cp.0].crashed = true;
-                        self.crash_flags.set(cp);
+                        crash_flags.set(cp);
                         crashes_applied.push((t, cp));
                     }
                 }
@@ -453,61 +336,53 @@ impl Sim {
                     .expect("some process runnable");
             }
             // Rotate to the process's next live task and grant one step.
-            let watch_obs = config.nemesis.as_ref().is_some_and(|nm| nm.wants_obs());
+            let env = StepEnv {
+                pid: p,
+                now: t,
+                obs: &obs,
+                crashed: &crash_flags,
+            };
             let proc = &mut self.procs[p.0];
             let ntasks = proc.tasks.len();
-            let mut granted = false;
-            step_obs.clear();
+            // Where the granted step's observations begin: taken right
+            // before each `step` call, so the final segment of a task
+            // that returns `Done` in this slot stays out of the view the
+            // nemesis gets.
+            let mut granted_from = None;
             for k in 0..ntasks {
                 let ti = (proc.cursor + k) % ntasks;
-                if proc.tasks[ti].exited {
+                let task = &mut proc.tasks[ti];
+                if task.exited {
                     continue;
                 }
-                // Relaxed is enough for the clock: steppers read it from
-                // this very thread, and a thread task only reads it after
-                // the gate rendezvous, whose mutex provides the
-                // happens-before edge.
-                self.clock.store(t, Ordering::Relaxed);
-                let task = &mut proc.tasks[ti];
-                let obs_mark = if watch_obs { task.obs.mark() } else { 0 };
-                // `finished`/`panic` only apply on `TaskExited`.
-                let (grant, finished, panic) = match &mut task.backend {
-                    TaskBackend::Thread { gate, .. } => (gate.grant(), true, None),
-                    TaskBackend::Stepper { stepper, env } => {
-                        let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            stepper.step(&mut StepCtx::new(&*env))
-                        }));
-                        match step {
-                            Ok(Control::Yield) => (Grant::StepDone, false, None),
-                            Ok(Control::Done) => (Grant::TaskExited, true, None),
-                            Err(p) => (Grant::TaskExited, false, Some(panic_message(&*p))),
-                        }
-                    }
-                };
-                match grant {
-                    Grant::StepDone => {
+                let mark = obs.borrow().len();
+                let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    task.stepper.step(&mut StepCtx::new(&env))
+                }));
+                match step {
+                    Ok(Control::Yield) => {
                         proc.cursor = ti + 1;
-                        granted = true;
-                        if watch_obs {
-                            task.obs.since_into(obs_mark, &mut step_obs);
-                        }
+                        granted_from = Some(mark);
                         break;
                     }
-                    Grant::TaskExited => {
+                    Ok(Control::Done) => {
                         task.exited = true;
-                        task.finished = finished;
-                        task.panic = panic;
+                        task.finished = true;
+                    }
+                    Err(panic) => {
+                        task.exited = true;
+                        task.panic = Some(panic_message(&*panic));
                     }
                 }
             }
-            if granted {
+            if let Some(mark) = granted_from {
                 steps.push(p);
                 step_counts[p.0] += 1;
                 if let Some(nem) = config.nemesis.as_mut() {
-                    for cp in nem.poll_post(t, p, &step_obs) {
+                    for cp in nem.poll_post(t, p, &obs.borrow()[mark..]) {
                         if cp.0 < n && !self.procs[cp.0].crashed {
                             self.procs[cp.0].crashed = true;
-                            self.crash_flags.set(cp);
+                            crash_flags.set(cp);
                             crashes_applied.push((t, cp));
                         }
                     }
@@ -518,50 +393,31 @@ impl Sim {
             // runnability.
         }
 
-        // Tear down: halt all gates, join all task threads (stepper tasks
-        // have no thread to stop — they simply never get polled again).
-        for proc in &self.procs {
-            for task in &proc.tasks {
-                if let TaskBackend::Thread { gate, .. } = &task.backend {
-                    gate.halt();
-                }
-            }
-        }
-        let mut reports = Vec::with_capacity(n);
-        for proc in &mut self.procs {
-            let mut touts = Vec::new();
-            for task in &mut proc.tasks {
-                if let TaskBackend::Thread { handle, .. } = &mut task.backend {
-                    if let Some(panic) = handle.take().and_then(|h| h.join().unwrap_or(None)) {
-                        task.panic = Some(panic);
-                    }
-                }
-                let outcome = if let Some(m) = &task.panic {
-                    TaskOutcome::Panicked(m.clone())
-                } else if task.exited && task.finished {
-                    TaskOutcome::Finished
-                } else {
-                    TaskOutcome::Halted
-                };
-                touts.push((task.name.clone(), outcome));
-            }
-            reports.push(ProcReport {
+        let reports = self
+            .procs
+            .iter()
+            .map(|proc| ProcReport {
                 name: proc.name.clone(),
                 crashed: proc.crashed,
-                tasks: touts,
-            });
-        }
-
-        // Merge the per-task observation buffers back into one global
-        // sequence (the shared stamp counter makes the order exact).
-        let obs = ObsBuf::merge(
-            self.procs
-                .iter()
-                .flat_map(|p| p.tasks.iter().map(|t| t.obs.clone())),
-        );
+                tasks: proc
+                    .tasks
+                    .iter()
+                    .map(|task| {
+                        let outcome = if let Some(m) = &task.panic {
+                            TaskOutcome::Panicked(m.clone())
+                        } else if task.exited && task.finished {
+                            TaskOutcome::Finished
+                        } else {
+                            TaskOutcome::Halted
+                        };
+                        (task.name.clone(), outcome)
+                    })
+                    .collect(),
+            })
+            .collect();
         let trace = Trace {
             steps,
-            obs,
+            obs: obs.into_inner(),
             crashes: crashes_applied,
             injections: config
                 .nemesis
@@ -580,7 +436,35 @@ impl Sim {
 mod tests {
     use super::*;
     use crate::schedule::{RoundRobin, Scripted};
-    use crate::Env;
+
+    /// A task that takes steps forever and does nothing else.
+    fn spin() -> Box<dyn Stepper> {
+        Box::new(|_: &mut StepCtx<'_>| Control::Yield)
+    }
+
+    /// Observes `0..yields` on `"i"`, one per step, then `-1` on
+    /// `"final"` in the segment that returns `Done`.
+    fn counting(yields: i64) -> Box<dyn Stepper> {
+        let mut i = 0;
+        Box::new(move |ctx: &mut StepCtx<'_>| {
+            if i < yields {
+                ctx.observe("i", 0, i);
+                i += 1;
+                Control::Yield
+            } else {
+                ctx.observe("final", 0, -1);
+                Control::Done
+            }
+        })
+    }
+
+    /// Observes `tag` on `"task"` every step.
+    fn tagger(tag: i64) -> Box<dyn Stepper> {
+        Box::new(move |ctx: &mut StepCtx<'_>| {
+            ctx.observe("task", 0, tag);
+            Control::Yield
+        })
+    }
 
     #[test]
     fn round_robin_run_is_deterministic() {
@@ -588,10 +472,14 @@ mod tests {
             let mut b = SimBuilder::new();
             for p in 0..3 {
                 let pid = b.add_process(&format!("p{p}"));
-                b.add_task(pid, "main", move |env| loop {
-                    env.observe("t", 0, env.now() as i64);
-                    env.tick()?;
-                });
+                b.add_stepper(
+                    pid,
+                    "main",
+                    Box::new(|ctx: &mut StepCtx<'_>| {
+                        ctx.observe("t", 0, ctx.now() as i64);
+                        Control::Yield
+                    }),
+                );
             }
             b.build()
         };
@@ -608,9 +496,7 @@ mod tests {
         let mut b = SimBuilder::new();
         for p in 0..2 {
             let pid = b.add_process(&format!("p{p}"));
-            b.add_task(pid, "main", move |env| loop {
-                env.tick()?;
-            });
+            b.add_stepper(pid, "main", spin());
         }
         let report = b
             .build()
@@ -627,13 +513,8 @@ mod tests {
     fn finished_tasks_are_skipped() {
         let mut b = SimBuilder::new();
         let p0 = b.add_process("p0");
-        b.add_task(p0, "short", |env| {
-            env.tick()?;
-            Ok(())
-        });
-        b.add_task(p0, "long", |env| loop {
-            env.tick()?;
-        });
+        b.add_stepper(p0, "short", counting(1));
+        b.add_stepper(p0, "long", spin());
         let report = b.build().run(RunConfig::new(50, RoundRobin::new()));
         report.assert_no_panics();
         assert_eq!(report.procs[0].tasks[0].1, TaskOutcome::Finished);
@@ -647,15 +528,13 @@ mod tests {
         let mut b = SimBuilder::new();
         let p0 = b.add_process("p0");
         for t in 0..2 {
-            b.add_task(p0, &format!("t{t}"), move |env| loop {
-                env.observe("task", 0, t as i64);
-                env.tick()?;
-            });
+            b.add_stepper(p0, &format!("t{t}"), tagger(t));
         }
         let report = b.build().run(RunConfig::new(10, RoundRobin::new()));
         report.assert_no_panics();
         let series = report.trace.obs_series(ProcId(0), "task", 0);
         let vals: Vec<i64> = series.iter().map(|(_, v)| *v).collect();
+        assert_eq!(vals.len(), 10);
         // strict alternation 0,1,0,1,...
         for w in vals.windows(2) {
             assert_ne!(w[0], w[1], "tasks must alternate: {vals:?}");
@@ -666,14 +545,20 @@ mod tests {
     fn panic_is_reported_not_propagated() {
         let mut b = SimBuilder::new();
         let p0 = b.add_process("p0");
-        b.add_task(p0, "bad", |env| {
-            env.tick()?;
-            panic!("boom");
-        });
+        let mut first = true;
+        b.add_stepper(
+            p0,
+            "bad",
+            Box::new(move |_: &mut StepCtx<'_>| {
+                if first {
+                    first = false;
+                    return Control::Yield;
+                }
+                panic!("boom");
+            }),
+        );
         let p1 = b.add_process("p1");
-        b.add_task(p1, "good", |env| loop {
-            env.tick()?;
-        });
+        b.add_stepper(p1, "good", spin());
         let report = b.build().run(RunConfig::new(30, RoundRobin::new()));
         match &report.procs[0].tasks[0].1 {
             TaskOutcome::Panicked(m) => assert!(m.contains("boom")),
@@ -687,9 +572,7 @@ mod tests {
         let mut b = SimBuilder::new();
         for p in 0..2 {
             let pid = b.add_process(&format!("p{p}"));
-            b.add_task(pid, "main", move |env| loop {
-                env.tick()?;
-            });
+            b.add_stepper(pid, "main", spin());
         }
         let script = vec![ProcId(1), ProcId(1), ProcId(0)];
         let report = b.build().run(RunConfig::new(9, Scripted::new(script)));
@@ -704,9 +587,7 @@ mod tests {
         let mut b = SimBuilder::new();
         for p in 0..3 {
             let pid = b.add_process(&format!("p{p}"));
-            b.add_task(pid, "main", move |env| loop {
-                env.tick()?;
-            });
+            b.add_stepper(pid, "main", spin());
         }
         let report = b
             .build()
@@ -717,34 +598,11 @@ mod tests {
         assert_eq!(got, vec![2, 2, 2, 2, 2, 2]);
     }
 
-    /// Observes the step index, yields `yields` times, then finishes.
-    struct CountingStepper {
-        yields: u64,
-        done: u64,
-    }
-
-    impl Stepper for CountingStepper {
-        fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-            if self.done < self.yields {
-                ctx.observe("i", 0, self.done as i64);
-                self.done += 1;
-                Control::Yield
-            } else {
-                ctx.observe("final", 0, -1);
-                Control::Done
-            }
-        }
-    }
-
     #[test]
     fn stepper_tasks_run_without_threads() {
         let mut b = SimBuilder::new();
         let p0 = b.add_process("p0");
-        b.add_stepper(
-            p0,
-            "count",
-            Box::new(CountingStepper { yields: 5, done: 0 }),
-        );
+        b.add_stepper(p0, "count", counting(5));
         let report = b.build().run(RunConfig::new(100, RoundRobin::new()));
         report.assert_no_panics();
         assert_eq!(report.procs[0].tasks[0].1, TaskOutcome::Finished);
@@ -755,97 +613,49 @@ mod tests {
         assert_eq!(report.trace.last_value(p0, "final", 0), Some(-1));
     }
 
+    /// Golden pins: digests of the same programs run as blocking closures
+    /// on the thread-per-task backend this engine replaced. The steppers
+    /// must take exactly the steps, and record exactly the observations,
+    /// that the blocking reference did.
     #[test]
-    fn stepper_matches_blocking_task_exactly() {
-        // The same program on both backends: identical steps and
-        // identical observation sequences.
-        let run_stepper = || {
-            let mut b = SimBuilder::new();
-            let p0 = b.add_process("p0");
-            b.add_stepper(p0, "m", Box::new(CountingStepper { yields: 7, done: 0 }));
-            let p1 = b.add_process("p1");
-            b.add_task(p1, "spin", |env| loop {
-                env.tick()?;
-            });
-            b.build().run(RunConfig::new(40, RoundRobin::new()))
-        };
-        let run_blocking = || {
-            let mut b = SimBuilder::new();
-            let p0 = b.add_process("p0");
-            b.add_task(p0, "m", |env| {
-                for i in 0..7 {
-                    env.observe("i", 0, i);
-                    env.tick()?;
+    fn steppers_reproduce_blocking_reference_digests() {
+        // Five yields, then `Done` without a final observation.
+        let mut b = SimBuilder::new();
+        let p0 = b.add_process("p0");
+        let mut i = 0;
+        b.add_stepper(
+            p0,
+            "s",
+            Box::new(move |ctx: &mut StepCtx<'_>| {
+                if i == 5 {
+                    return Control::Done;
                 }
-                env.observe("final", 0, -1);
-                Ok(())
-            });
-            let p1 = b.add_process("p1");
-            b.add_task(p1, "spin", |env| loop {
-                env.tick()?;
-            });
-            b.build().run(RunConfig::new(40, RoundRobin::new()))
-        };
-        let rs = run_stepper();
-        let rb = run_blocking();
-        rs.assert_no_panics();
-        rb.assert_no_panics();
-        assert_eq!(rs.trace.steps, rb.trace.steps);
-        assert_eq!(rs.trace.obs, rb.trace.obs);
-        assert_eq!(rs.procs[0].tasks[0].1, rb.procs[0].tasks[0].1);
-    }
-
-    #[test]
-    fn stepper_and_thread_tasks_rotate_within_a_process() {
-        struct Tagger;
-        impl Stepper for Tagger {
-            fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-                ctx.observe("task", 0, 0);
+                ctx.observe("i", 0, i);
+                i += 1;
                 Control::Yield
-            }
-        }
-        let mut b = SimBuilder::new();
-        let p0 = b.add_process("p0");
-        b.add_stepper(p0, "poll", Box::new(Tagger));
-        b.add_task(p0, "thread", |env| loop {
-            env.observe("task", 0, 1);
-            env.tick()?;
-        });
-        let report = b.build().run(RunConfig::new(10, RoundRobin::new()));
-        report.assert_no_panics();
-        let vals: Vec<i64> = report
-            .trace
-            .obs_series(ProcId(0), "task", 0)
-            .iter()
-            .map(|(_, v)| *v)
-            .collect();
-        assert_eq!(vals.len(), 10);
-        for w in vals.windows(2) {
-            assert_ne!(w[0], w[1], "backends must interleave: {vals:?}");
-        }
-    }
+            }),
+        );
+        let r = b.build().run(RunConfig::new(100, RoundRobin::new()));
+        assert_eq!(r.trace.digest(), 0xb8af_6766_da0a_19a7);
 
-    #[test]
-    fn stepper_panic_is_reported_not_propagated() {
-        struct Bomb;
-        impl Stepper for Bomb {
-            fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Control {
-                panic!("fizzle");
-            }
-        }
+        // A finite task next to a spinner: the slot after the `Done`
+        // segment goes to the other process.
         let mut b = SimBuilder::new();
         let p0 = b.add_process("p0");
-        b.add_stepper(p0, "bomb", Box::new(Bomb));
+        b.add_stepper(p0, "m", counting(7));
         let p1 = b.add_process("p1");
-        b.add_task(p1, "good", |env| loop {
-            env.tick()?;
-        });
-        let report = b.build().run(RunConfig::new(30, RoundRobin::new()));
-        match &report.procs[0].tasks[0].1 {
-            TaskOutcome::Panicked(m) => assert!(m.contains("fizzle")),
-            o => panic!("expected panic outcome, got {o:?}"),
-        }
-        assert_eq!(report.procs[1].tasks[0].1, TaskOutcome::Halted);
+        b.add_stepper(p1, "spin", spin());
+        let r = b.build().run(RunConfig::new(40, RoundRobin::new()));
+        assert_eq!(r.trace.len(), 39);
+        assert_eq!(r.trace.digest(), 0x4638_37e4_b67c_1f9e);
+
+        // Two tasks of one process rotate.
+        let mut b = SimBuilder::new();
+        let p0 = b.add_process("p0");
+        b.add_stepper(p0, "t0", tagger(0));
+        b.add_stepper(p0, "t1", tagger(1));
+        let r = b.build().run(RunConfig::new(10, RoundRobin::new()));
+        assert_eq!(r.trace.digest(), 0xee56_92e1_dc3f_4a2d);
     }
 
     #[test]
@@ -853,12 +663,7 @@ mod tests {
         let mut b = SimBuilder::new();
         for p in 0..2 {
             let pid = b.add_process(&format!("p{p}"));
-            b.add_task(pid, "main", move |env| {
-                for _ in 0..5 {
-                    env.tick()?;
-                }
-                Ok(())
-            });
+            b.add_stepper(pid, "main", counting(5));
         }
         let report = b.build().run(RunConfig::new(10_000, RoundRobin::new()));
         report.assert_no_panics();

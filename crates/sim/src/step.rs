@@ -1,32 +1,48 @@
 //! The poll-driven step engine: tasks as explicit state machines.
 //!
-//! The original execution backend runs every task on its own OS thread
-//! behind a rendezvous turnstile ([`gate`](crate::Sim)) — two condvar
-//! handoffs per simulated step. A [`Stepper`] instead *is* the step: the
-//! scheduler calls [`Stepper::step`] directly, so granting a step is a
-//! plain (devirtualizable) function call with zero thread traffic. One
-//! `step()` call corresponds exactly to the code a blocking task would
-//! execute between two consecutive `Env::tick` calls.
+//! Section 3 of the paper has one adversary that grants one step at a
+//! time. [`Sim::run`](crate::Sim::run) implements it as a single poll
+//! loop: each time slot it asks the schedule for a process, rotates to
+//! that process's next live task, and calls [`Stepper::step`] on it.
+//! Granting a step is a plain function call — no threads, no locks.
 //!
-//! Both backends coexist in one run and are **step-for-step
-//! equivalent**: a blocking closure consumes the step at `tick()`; a
-//! stepper consumes it by returning [`Control::Yield`]. Returning
-//! [`Control::Done`] corresponds to the closure returning `Ok(())` — the
-//! final segment runs but is *not* counted as a step, and the process's
-//! next task is tried in the same time slot (exactly the thread
-//! backend's `TaskExited` semantics). Because simulated register
-//! operations expose an invoke/complete pair from which the blocking
-//! forms are derived (see `tbwf-registers`), the tick positions of a
-//! ported algorithm are identical by construction on both backends, and
-//! a run remains a deterministic function of `(program, schedule,
-//! seed)`.
+//! One `step()` call runs one *segment* of the task's algorithm. A
+//! segment that returns [`Control::Yield`] consumes the step. Returning
+//! [`Control::Done`] finishes the task: that final segment runs but is
+//! *not* counted as a step, and the process's next task is tried in the
+//! same time slot. Register operations straddle segments through their
+//! invoke/complete pair (see `tbwf-registers`), which gives each
+//! operation its two-step extent in the paper's model. A run is a
+//! deterministic function of `(program, schedule, seed)`.
+//!
+//! Short loops need no named state machine: any
+//! `FnMut(&mut StepCtx<'_>) -> Control + Send` closure is a [`Stepper`].
+//!
+//! ```
+//! use tbwf_sim::schedule::RoundRobin;
+//! use tbwf_sim::{Control, ProcId, RunConfig, SimBuilder, StepCtx};
+//!
+//! let mut b = SimBuilder::new();
+//! let p = b.add_process("p0");
+//! let mut i = 0;
+//! b.add_stepper(
+//!     p,
+//!     "count",
+//!     Box::new(move |ctx: &mut StepCtx<'_>| {
+//!         ctx.observe("i", 0, i);
+//!         i += 1;
+//!         Control::Yield
+//!     }),
+//! );
+//! let report = b.build().run(RunConfig::new(10, RoundRobin::new()));
+//! assert_eq!(report.trace.last_value(ProcId(0), "i", 0), Some(9));
+//! ```
 
 use crate::env::{CrashFlags, Env};
 use crate::halt::SimResult;
 use crate::ids::ProcId;
-use crate::trace::ObsBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::trace::Obs;
+use std::cell::RefCell;
 
 /// What a [`Stepper`] tells the scheduler after executing one segment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,16 +50,16 @@ pub enum Control {
     /// The segment consumed this step; call `step` again when the
     /// process is next scheduled.
     Yield,
-    /// The task is finished (the blocking analogue returned `Ok(())`).
-    /// The segment that returned `Done` is *not* counted as a step.
+    /// The task is finished. The segment that returned `Done` is *not*
+    /// counted as a step.
     Done,
 }
 
 /// A task written as an explicit state machine, driven by the scheduler.
 ///
-/// Each `step` call runs one *segment*: the code a blocking task would
-/// execute between two consecutive `tick`s. Within a segment no other
-/// task runs, so process-local state cannot change mid-segment. Register
+/// Each `step` call runs one *segment*: the local code between two
+/// consecutive steps of the process. Within a segment no other task
+/// runs, so process-local state cannot change mid-segment. Register
 /// operations must straddle segments via their invoke/complete pair:
 /// invoke at the end of one segment, complete at the start of the next —
 /// this is what gives operations their two-step (invocation/response)
@@ -53,12 +69,22 @@ pub trait Stepper: Send {
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control;
 }
 
+/// A closure is a stepper: each call is one segment.
+impl<F> Stepper for F
+where
+    F: FnMut(&mut StepCtx<'_>) -> Control + Send,
+{
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
+        self(ctx)
+    }
+}
+
 /// The environment handed to [`Stepper::step`].
 ///
 /// A thin view over the backing [`Env`] that forwards `now`/`pid`/
-/// `observe` but *panics on `tick`*: a stepper consumes steps by
-/// yielding, never by blocking, and the panic catches accidental calls
-/// to blocking register operations from stepper code on either backend.
+/// `observe`/`is_crashed` but *panics on `tick`*: a stepper consumes
+/// steps by yielding, never by blocking, and the panic catches
+/// accidental calls to blocking register operations from stepper code.
 pub struct StepCtx<'a> {
     env: &'a dyn Env,
 }
@@ -92,14 +118,18 @@ impl<'a> StepCtx<'a> {
     }
 }
 
+fn tick_in_stepper() -> ! {
+    panic!(
+        "Env::tick called from stepper code: a Stepper must return \
+         Control::Yield to consume a step (blocking register \
+         operations are not available inside a Stepper — use the \
+         invoke/complete pair)"
+    );
+}
+
 impl Env for StepCtx<'_> {
     fn tick(&self) -> SimResult<()> {
-        panic!(
-            "Env::tick called from stepper code: a Stepper must return \
-             Control::Yield to consume a step (blocking register \
-             operations are not available inside a Stepper — use the \
-             invoke/complete pair)"
-        );
+        tick_in_stepper()
     }
 
     fn now(&self) -> u64 {
@@ -119,31 +149,23 @@ impl Env for StepCtx<'_> {
     }
 }
 
-/// The runner-internal backing env of a native (poll-driven) stepper
-/// task: shares the run's clock and writes observations into the task's
-/// buffer. `tick` panics — the scheduler never grants a blocking step to
-/// a stepper.
-pub(crate) struct StepEnv {
+/// The runner's backing env for one granted step: the process, the
+/// clock, and borrows of the run-wide observation log and crash flags.
+/// `Sim::run` builds one per time slot; it never outlives the slot.
+pub(crate) struct StepEnv<'a> {
     pub(crate) pid: ProcId,
-    pub(crate) clock: Arc<AtomicU64>,
-    pub(crate) obs: ObsBuf,
-    pub(crate) crashed: Arc<CrashFlags>,
+    pub(crate) now: u64,
+    pub(crate) obs: &'a RefCell<Vec<Obs>>,
+    pub(crate) crashed: &'a CrashFlags,
 }
 
-impl Env for StepEnv {
+impl Env for StepEnv<'_> {
     fn tick(&self) -> SimResult<()> {
-        panic!(
-            "Env::tick called from stepper code: a Stepper must return \
-             Control::Yield to consume a step (blocking register \
-             operations are not available inside a Stepper — use the \
-             invoke/complete pair)"
-        );
+        tick_in_stepper()
     }
 
     fn now(&self) -> u64 {
-        // Relaxed: the runner stores the clock on this same thread just
-        // before polling the stepper; there is no cross-thread read.
-        self.clock.load(Ordering::Relaxed)
+        self.now
     }
 
     fn pid(&self) -> ProcId {
@@ -151,7 +173,13 @@ impl Env for StepEnv {
     }
 
     fn observe(&self, key: &'static str, idx: u32, value: i64) {
-        self.obs.record(self.now(), self.pid, key, idx, value);
+        self.obs.borrow_mut().push(Obs {
+            time: self.now,
+            proc: self.pid,
+            key,
+            idx,
+            value,
+        });
     }
 
     fn is_crashed(&self, p: ProcId) -> bool {

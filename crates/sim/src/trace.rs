@@ -2,10 +2,7 @@
 
 use crate::ids::ProcId;
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One observation of a local output variable.
 ///
@@ -28,184 +25,7 @@ pub struct Obs {
     pub value: i64,
 }
 
-/// Non-atomic run-global stamp counter for runs whose every task is a
-/// poll-driven stepper.
-///
-/// Such runs are single-threaded by construction: the scheduler calls
-/// `Stepper::step` directly from `Sim::run`, so every `record` and every
-/// runner-side read happens on the one thread driving the run. The
-/// `Sync` assertion below exists only because [`crate::Env`] (which the
-/// poll backend's `StepEnv` implements) is a `Send + Sync` trait; it is
-/// never exercised across threads.
-///
-/// # Safety
-///
-/// Constructed only by `SimBuilder::build` for all-stepper systems, and
-/// only ever touched from the thread executing `Sim::run`. Nothing hands
-/// a poll task's env to another thread: `StepCtx` borrows it for the
-/// duration of one synchronous `step` call.
-pub(crate) struct PollSeq(Cell<u64>);
-
-// SAFETY: see the type-level invariant above — all access is confined to
-// the thread driving `Sim::run`.
-unsafe impl Sync for PollSeq {}
-
-impl PollSeq {
-    fn next(&self) -> u64 {
-        let v = self.0.get();
-        self.0.set(v + 1);
-        v
-    }
-}
-
-/// The poll-backend observation store: a plain `Vec` behind a `RefCell`.
-/// Same confinement invariant (and the same reason for the `Sync`
-/// assertion) as [`PollSeq`]; the `RefCell` turns any future violation of
-/// the aliasing discipline into a deterministic panic instead of UB.
-pub(crate) struct PollBuf(RefCell<Vec<(u64, Obs)>>);
-
-// SAFETY: see `PollSeq` — all access is confined to the runner thread.
-unsafe impl Sync for PollBuf {}
-
-/// The stamp source shared by all observation buffers of one run.
-///
-/// `Shared` is the thread-compat path (tasks record from their own OS
-/// threads, serialized by the gate rendezvous but still cross-thread);
-/// `Poll` is the single-threaded fast path used when every task of the
-/// system is a stepper.
-pub(crate) enum ObsSeq {
-    Shared(Arc<AtomicU64>),
-    Poll(Arc<PollSeq>),
-}
-
-impl ObsSeq {
-    /// A stamp counter for a run containing at least one thread task.
-    pub(crate) fn shared() -> Self {
-        ObsSeq::Shared(Arc::new(AtomicU64::new(0)))
-    }
-
-    /// A stamp counter for an all-stepper run (no atomics needed).
-    pub(crate) fn poll() -> Self {
-        ObsSeq::Poll(Arc::new(PollSeq(Cell::new(0))))
-    }
-
-    /// A fresh per-task buffer drawing stamps from this counter.
-    pub(crate) fn new_buf(&self) -> ObsBuf {
-        match self {
-            ObsSeq::Shared(seq) => ObsBuf::Shared {
-                seq: Arc::clone(seq),
-                items: Arc::new(Mutex::new(Vec::new())),
-            },
-            ObsSeq::Poll(seq) => ObsBuf::Poll {
-                seq: Arc::clone(seq),
-                items: Arc::new(PollBuf(RefCell::new(Vec::new()))),
-            },
-        }
-    }
-}
-
-/// Per-task observation buffer with a run-global sequence stamp.
-///
-/// Each task appends into its own buffer (no contention with other
-/// tasks), but every record draws a stamp from one counter shared by all
-/// buffers of a run; merging the buffers sorted by stamp reproduces the
-/// exact global recording order. The stamp (not `Obs::time`) is what
-/// orders observations: several tasks can observe at the same time `t`
-/// when an exiting task's final segment and its successor run in the
-/// same slot.
-///
-/// Two variants, chosen per *run* at build time (see [`ObsSeq`]):
-///
-/// * `Shared` — the thread-compat path. Buffers are written from task
-///   threads and read by the runner, so they pay an `Arc<Mutex>` lock and
-///   an atomic stamp per record.
-/// * `Poll` — the specialized path for all-stepper runs: a plain `Vec`
-///   with a non-atomic stamp. Everything runs on the scheduler thread, so
-///   the per-observation cost is a counter bump and a `Vec` push.
-#[derive(Clone)]
-pub(crate) enum ObsBuf {
-    Shared {
-        seq: Arc<AtomicU64>,
-        items: Arc<Mutex<Vec<(u64, Obs)>>>,
-    },
-    Poll {
-        seq: Arc<PollSeq>,
-        items: Arc<PollBuf>,
-    },
-}
-
-impl ObsBuf {
-    pub(crate) fn record(&self, time: u64, proc: ProcId, key: &'static str, idx: u32, value: i64) {
-        let obs = Obs {
-            time,
-            proc,
-            key,
-            idx,
-            value,
-        };
-        match self {
-            ObsBuf::Shared { seq, items } => {
-                let stamp = seq.fetch_add(1, Ordering::Relaxed);
-                items.lock().push((stamp, obs));
-            }
-            ObsBuf::Poll { seq, items } => {
-                items.0.borrow_mut().push((seq.next(), obs));
-            }
-        }
-    }
-
-    /// Grows the buffer's capacity ahead of the run (sized from the step
-    /// budget by the runner, so steady-state records never reallocate).
-    pub(crate) fn reserve(&self, additional: usize) {
-        match self {
-            ObsBuf::Shared { items, .. } => items.lock().reserve(additional),
-            ObsBuf::Poll { items, .. } => items.0.borrow_mut().reserve(additional),
-        }
-    }
-
-    pub(crate) fn take_items(&self) -> Vec<(u64, Obs)> {
-        match self {
-            ObsBuf::Shared { items, .. } => std::mem::take(&mut items.lock()),
-            ObsBuf::Poll { items, .. } => std::mem::take(&mut items.0.borrow_mut()),
-        }
-    }
-
-    /// Number of observations recorded so far (used by the runner to
-    /// mark a position before granting a step).
-    pub(crate) fn mark(&self) -> usize {
-        match self {
-            ObsBuf::Shared { items, .. } => items.lock().len(),
-            ObsBuf::Poll { items, .. } => items.0.borrow().len(),
-        }
-    }
-
-    /// Appends the observations recorded since `mark` into `out` (what
-    /// one granted step observed; fed to the nemesis for trace-aware
-    /// triggers). `out` is a runner-owned scratch buffer reused across
-    /// steps.
-    pub(crate) fn since_into(&self, mark: usize, out: &mut Vec<Obs>) {
-        match self {
-            ObsBuf::Shared { items, .. } => {
-                out.extend(items.lock()[mark..].iter().map(|(_, o)| *o));
-            }
-            ObsBuf::Poll { items, .. } => {
-                out.extend(items.0.borrow()[mark..].iter().map(|(_, o)| *o));
-            }
-        }
-    }
-
-    /// Merges buffers into one observation list in global recording order.
-    pub(crate) fn merge(bufs: impl IntoIterator<Item = ObsBuf>) -> Vec<Obs> {
-        let mut all: Vec<(u64, Obs)> = Vec::new();
-        for buf in bufs {
-            all.extend(buf.take_items());
-        }
-        all.sort_by_key(|(stamp, _)| *stamp);
-        all.into_iter().map(|(_, o)| o).collect()
-    }
-}
-
-/// Thread-safe sink the tasks append observations to while running.
+/// Thread-safe observation sink of [`FreeRunEnv`](crate::FreeRunEnv).
 pub(crate) struct TraceSink {
     obs: Mutex<Vec<Obs>>,
 }
@@ -232,6 +52,30 @@ impl TraceSink {
     }
 }
 
+/// 64-bit FNV-1a over little-endian words and length-prefixed strings.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
 /// The complete record of a run.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
@@ -247,6 +91,39 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// FNV-1a digest of the whole run record: every step, every
+    /// observation, the crash record and the injection log. Two runs with
+    /// equal digests are, for every purpose the workspace has, the same
+    /// run; tests pin digests to check that a rewrite of an algorithm
+    /// still takes exactly the steps the original took.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv::new();
+        h.u64(self.steps.len() as u64);
+        for p in &self.steps {
+            h.u64(p.0 as u64);
+        }
+        h.u64(self.obs.len() as u64);
+        for o in &self.obs {
+            h.u64(o.time);
+            h.u64(o.proc.0 as u64);
+            h.str(o.key);
+            h.u64(u64::from(o.idx));
+            h.u64(o.value as u64);
+        }
+        h.u64(self.crashes.len() as u64);
+        for &(t, p) in &self.crashes {
+            h.u64(t);
+            h.u64(p.0 as u64);
+        }
+        h.u64(self.injections.len() as u64);
+        for i in &self.injections {
+            h.u64(i.time);
+            h.u64(i.event as u64);
+            h.str(&i.desc);
+        }
+        h.0
+    }
+
     /// Total number of steps in the run.
     pub fn len(&self) -> usize {
         self.steps.len()
@@ -384,38 +261,6 @@ mod tests {
             ],
             crashes: vec![(4, ProcId(1))],
             injections: vec![],
-        }
-    }
-
-    #[test]
-    fn obs_buf_merge_restores_recording_order() {
-        for seq in [ObsSeq::shared(), ObsSeq::poll()] {
-            let a = seq.new_buf();
-            let b = seq.new_buf();
-            // Interleave records across buffers; same `time` throughout,
-            // so only the stamp can restore the order.
-            a.record(5, ProcId(0), "x", 0, 1);
-            b.record(5, ProcId(1), "x", 0, 2);
-            a.record(5, ProcId(0), "x", 0, 3);
-            let merged = ObsBuf::merge([b, a]);
-            let values: Vec<i64> = merged.iter().map(|o| o.value).collect();
-            assert_eq!(values, vec![1, 2, 3]);
-        }
-    }
-
-    #[test]
-    fn obs_buf_mark_and_since_into_agree_across_variants() {
-        for seq in [ObsSeq::shared(), ObsSeq::poll()] {
-            let buf = seq.new_buf();
-            buf.record(0, ProcId(0), "x", 0, 1);
-            let mark = buf.mark();
-            assert_eq!(mark, 1);
-            buf.record(1, ProcId(0), "x", 0, 2);
-            buf.record(2, ProcId(0), "y", 1, 3);
-            let mut out = Vec::new();
-            buf.since_into(mark, &mut out);
-            let vals: Vec<i64> = out.iter().map(|o| o.value).collect();
-            assert_eq!(vals, vec![2, 3]);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Baselines the paper positions itself against (Sections 1.2 and 2).
 //!
-//! * [`drive_obstruction_free`] — the query-abortable object used
+//! * [`ObstructionFreeCall`] — the query-abortable object used
 //!   directly, with no coordination at all: obstruction-free, and under
 //!   steady contention essentially no one makes progress.
 //! * [`FlmsBoost`] — a panic-flag booster in the style of Fich,
@@ -23,35 +23,63 @@ use crate::object::{ObjectType, Outcome};
 use crate::qa::{Entry, QaSession};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use tbwf_registers::{RegisterFactory, SharedAtomic, SharedCas};
-use tbwf_sim::{Env, ProcId, SimResult};
+use tbwf_registers::{CasOp, OpToken, RegisterFactory, SharedAtomic, SharedCas};
+use tbwf_sim::{Env, ProcId};
 
-/// Drives one operation on the query-abortable object with *no*
-/// coordination: the plain obstruction-free baseline. Returns the
-/// response once the operation completes; under contention this may spin
-/// for the whole run (which is the point of the baseline).
+/// One operation on the query-abortable object driven with *no*
+/// coordination: the plain obstruction-free baseline, in poll form.
 ///
-/// # Errors
-///
-/// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-pub fn drive_obstruction_free<T: ObjectType>(
-    env: &dyn Env,
-    session: &mut QaSession<T>,
+/// Each attempt is one `apply` (or, after a `⊥`, one `query`) on the
+/// object; a finished attempt without a response costs one more local
+/// step before the next begins. Under contention this may spin for the
+/// whole run (which is the point of the baseline).
+pub struct ObstructionFreeCall<T: ObjectType> {
     op: T::Op,
-) -> SimResult<T::Resp> {
-    let mut query_next = false;
-    loop {
-        let res = if query_next {
-            session.query(env)?
-        } else {
-            session.apply(env, op.clone())?
-        };
-        match res {
-            Outcome::Done(v) => return Ok(v),
-            Outcome::Bot => query_next = true,
-            Outcome::NoEffect => query_next = false,
+    query_next: bool,
+    in_flight: bool,
+}
+
+impl<T: ObjectType> ObstructionFreeCall<T> {
+    /// Prepares the operation.
+    pub fn new(op: T::Op) -> Self {
+        ObstructionFreeCall {
+            op,
+            query_next: false,
+            in_flight: false,
         }
-        env.tick()?;
+    }
+
+    /// Runs one segment. Returns the response in the segment that
+    /// completes the operation.
+    pub fn poll(&mut self, env: &dyn Env, session: &mut QaSession<T>) -> Option<T::Resp> {
+        self.attempt(env, session).flatten()
+    }
+
+    /// Starts or continues one attempt. `None` while its register
+    /// operations are in flight; otherwise the attempt ended in this
+    /// segment, with the response if the operation completed.
+    fn attempt(&mut self, env: &dyn Env, session: &mut QaSession<T>) -> Option<Option<T::Resp>> {
+        if !self.in_flight {
+            if self.query_next {
+                session.begin_query();
+            } else {
+                session.begin_apply(self.op.clone());
+            }
+            self.in_flight = true;
+        }
+        let out = session.poll_op(env)?;
+        self.in_flight = false;
+        Some(match out {
+            Outcome::Done(v) => Some(v),
+            Outcome::Bot => {
+                self.query_next = true;
+                None
+            }
+            Outcome::NoEffect => {
+                self.query_next = false;
+                None
+            }
+        })
     }
 }
 
@@ -96,92 +124,189 @@ impl FlmsBoost {
             panic_threshold: 4,
         }
     }
+}
 
-    /// Executes `op`: fast path while the panic flag is clear; on panic,
-    /// publish a timestamp and proceed only as the minimal waiter.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn invoke<T: ObjectType>(
-        &self,
+/// Where an [`FlmsCall`] is parked between segments. `Pending` stages
+/// carry the register operation invoked at the end of the previous
+/// segment.
+enum FlmsStage {
+    /// The call's first segment: it ends at the loop-top step.
+    Begin,
+    /// Top of an iteration: read the panic flag.
+    Iterate,
+    /// The panic-flag read is in flight.
+    PanicRead(OpToken),
+    /// An attempt on the object is in flight (fast path or, when
+    /// `panicking`, as the minimal waiter).
+    Attempt { panicking: bool },
+    /// Raising the panic flag after too many fast-path attempts.
+    SetPanic(OpToken),
+    /// Panic mode, first time: reading the timestamp generator…
+    TsGenRead(OpToken),
+    /// …advancing it past `t`…
+    TsGenWrite { tok: OpToken, t: i64 },
+    /// …and publishing `t` as the own timestamp.
+    TsPublish { tok: OpToken, t: i64 },
+    /// Scanning `ts[q]` for the minimal `(ts, id)` waiter.
+    TsRead {
+        q: usize,
+        tok: OpToken,
+        min: (i64, usize),
+    },
+    /// Done: withdrawing the own timestamp (then clearing the panic flag
+    /// if `unpanic`).
+    Withdraw { tok: OpToken, unpanic: bool },
+    /// Done: clearing the panic flag.
+    Unpanic(OpToken),
+}
+
+/// One operation through the FLMS-style booster, in poll form: fast path
+/// while the panic flag is clear; on panic, publish a timestamp and
+/// proceed only as the minimal waiter.
+pub struct FlmsCall<T: ObjectType> {
+    of: ObstructionFreeCall<T>,
+    attempts: u32,
+    registered: bool,
+    my_ts: i64,
+    resp: Option<T::Resp>,
+    stage: FlmsStage,
+}
+
+impl<T: ObjectType> FlmsCall<T> {
+    /// Prepares the operation.
+    pub fn new(op: T::Op) -> Self {
+        FlmsCall {
+            of: ObstructionFreeCall::new(op),
+            attempts: 0,
+            registered: false,
+            my_ts: TS_INF,
+            resp: None,
+            stage: FlmsStage::Begin,
+        }
+    }
+
+    /// Runs one segment. Returns the response in the segment that
+    /// completes the operation.
+    pub fn poll(
+        &mut self,
         env: &dyn Env,
+        boost: &FlmsBoost,
         session: &mut QaSession<T>,
-        op: T::Op,
-    ) -> SimResult<T::Resp> {
-        let p = session.pid();
-        let n = self.shared.ts.len();
-        let mut attempts = 0u32;
-        let mut registered = false;
-        let mut my_ts = TS_INF;
-        let mut query_next = false;
-        let drive = |env: &dyn Env,
-                     session: &mut QaSession<T>,
-                     query_next: &mut bool|
-         -> SimResult<Option<T::Resp>> {
-            let res = if *query_next {
-                session.query(env)?
-            } else {
-                session.apply(env, op.clone())?
-            };
-            Ok(match res {
-                Outcome::Done(v) => Some(v),
-                Outcome::Bot => {
-                    *query_next = true;
-                    None
-                }
-                Outcome::NoEffect => {
-                    *query_next = false;
-                    None
-                }
-            })
-        };
-        loop {
-            env.tick()?;
-            if !self.shared.panic.read(env)? {
-                // Fast path: try the obstruction-free object directly.
-                if let Some(v) = drive(env, session, &mut query_next)? {
-                    if registered {
-                        self.shared.ts[p.0].write(env, TS_INF)?;
+    ) -> Option<T::Resp> {
+        let sh = &boost.shared;
+        let p = session.pid().0;
+        match std::mem::replace(&mut self.stage, FlmsStage::Iterate) {
+            FlmsStage::Begin => {}
+            FlmsStage::Iterate => {
+                self.stage = FlmsStage::PanicRead(sh.panic.invoke_read(env));
+            }
+            FlmsStage::PanicRead(tok) => {
+                if sh.panic.complete_read(env, tok) {
+                    // Panic mode: publish a timestamp once. The read+write
+                    // on ts_gen is not atomic, so two processes may
+                    // acquire the same timestamp; the minimal-waiter
+                    // comparison tie-breaks on (ts, id), which keeps the
+                    // winner unique.
+                    if self.registered {
+                        self.scan_from(env, sh, 0, (self.my_ts, p));
+                    } else {
+                        self.stage = FlmsStage::TsGenRead(sh.ts_gen.invoke_read(env));
                     }
-                    return Ok(v);
+                } else {
+                    // Fast path: try the obstruction-free object directly.
+                    return self.attempt(env, boost, session, false);
                 }
-                attempts += 1;
-                if attempts > self.panic_threshold {
-                    self.shared.panic.write(env, true)?;
+            }
+            FlmsStage::Attempt { panicking } => {
+                return self.attempt(env, boost, session, panicking);
+            }
+            FlmsStage::SetPanic(tok) => sh.panic.complete_write(env, tok),
+            FlmsStage::TsGenRead(tok) => {
+                let t = sh.ts_gen.complete_read(env, tok);
+                let tok = sh.ts_gen.invoke_write(env, t + 1);
+                self.stage = FlmsStage::TsGenWrite { tok, t };
+            }
+            FlmsStage::TsGenWrite { tok, t } => {
+                sh.ts_gen.complete_write(env, tok);
+                let tok = sh.ts[p].invoke_write(env, t);
+                self.stage = FlmsStage::TsPublish { tok, t };
+            }
+            FlmsStage::TsPublish { tok, t } => {
+                sh.ts[p].complete_write(env, tok);
+                self.my_ts = t;
+                self.registered = true;
+                self.scan_from(env, sh, 0, (t, p));
+            }
+            FlmsStage::TsRead { q, tok, mut min } => {
+                let tq = sh.ts[q].complete_read(env, tok);
+                if tq != TS_INF && (tq, q) < min {
+                    min = (tq, q);
                 }
-            } else {
-                // Panic mode: publish a timestamp once. The read+write on
-                // ts_gen is not atomic, so two processes may acquire the
-                // same timestamp; the minimal-waiter comparison below
-                // tie-breaks on (ts, id), which keeps the winner unique.
-                if !registered {
-                    let t = self.shared.ts_gen.read(env)?;
-                    self.shared.ts_gen.write(env, t + 1)?;
-                    self.shared.ts[p.0].write(env, t)?;
-                    my_ts = t;
-                    registered = true;
-                }
-                // …and proceed only while holding the minimal (ts, id).
-                let mut min = (my_ts, p.0);
-                for q in 0..n {
-                    let tq = self.shared.ts[q].read(env)?;
-                    if tq != TS_INF && (tq, q) < min {
-                        min = (tq, q);
-                    }
-                }
-                if min == (my_ts, p.0) {
-                    if let Some(v) = drive(env, session, &mut query_next)? {
-                        self.shared.ts[p.0].write(env, TS_INF)?;
-                        self.shared.panic.write(env, false)?;
-                        return Ok(v);
-                    }
+                if q + 1 < sh.ts.len() {
+                    self.scan_from(env, sh, q + 1, min);
+                } else if min == (self.my_ts, p) {
+                    // …and proceed only while holding the minimal (ts, id).
+                    return self.attempt(env, boost, session, true);
                 }
                 // Not minimal: wait. This wait is exactly what makes the
                 // booster non-gracefully-degrading — the minimal holder
                 // may be arbitrarily slow.
             }
+            FlmsStage::Withdraw { tok, unpanic } => {
+                sh.ts[p].complete_write(env, tok);
+                if !unpanic {
+                    return self.resp.take();
+                }
+                self.stage = FlmsStage::Unpanic(sh.panic.invoke_write(env, false));
+            }
+            FlmsStage::Unpanic(tok) => {
+                sh.panic.complete_write(env, tok);
+                return self.resp.take();
+            }
         }
+        None
+    }
+
+    /// Invokes the read of `ts[q]` in the minimal-waiter scan.
+    fn scan_from(&mut self, env: &dyn Env, sh: &FlmsShared, q: usize, min: (i64, usize)) {
+        let tok = sh.ts[q].invoke_read(env);
+        self.stage = FlmsStage::TsRead { q, tok, min };
+    }
+
+    /// Runs one segment of an attempt on the object and, when it ends,
+    /// the code that follows it.
+    fn attempt(
+        &mut self,
+        env: &dyn Env,
+        boost: &FlmsBoost,
+        session: &mut QaSession<T>,
+        panicking: bool,
+    ) -> Option<T::Resp> {
+        let sh = &boost.shared;
+        let p = session.pid().0;
+        self.stage = FlmsStage::Iterate;
+        match self.of.attempt(env, session) {
+            None => self.stage = FlmsStage::Attempt { panicking },
+            Some(Some(v)) => {
+                if !self.registered && !panicking {
+                    return Some(v);
+                }
+                self.resp = Some(v);
+                let tok = sh.ts[p].invoke_write(env, TS_INF);
+                self.stage = FlmsStage::Withdraw {
+                    tok,
+                    unpanic: panicking,
+                };
+            }
+            Some(None) if !panicking => {
+                self.attempts += 1;
+                if self.attempts > boost.panic_threshold {
+                    self.stage = FlmsStage::SetPanic(sh.panic.invoke_write(env, true));
+                }
+            }
+            Some(None) => {}
+        }
+        None
     }
 }
 
@@ -230,8 +355,31 @@ impl<T: ObjectType> CasUniversal<T> {
             last_of: vec![None; self.n],
             cursor: 0,
             my_seq: 0,
+            mine: None,
+            stage: CasStage::Idle,
         }
     }
+}
+
+/// Where a [`CasSession`] operation is parked between segments.
+enum CasStage<Op> {
+    /// No operation in flight.
+    Idle,
+    /// The operation's first segment: announce it.
+    Start,
+    /// The announce write is in flight.
+    Announce(OpToken),
+    /// The read of the frontier slot's decision register is in flight.
+    DecisionRead(OpToken),
+    /// The read of the helped process's announce register is in flight.
+    HelpRead(OpToken),
+    /// The CAS deciding slot `s` is in flight.
+    Decide {
+        s: usize,
+        op: CasOp<Option<Entry<Op>>>,
+    },
+    /// Done: the announce register is being cleared.
+    Clear(OpToken),
 }
 
 /// Per-process handle on a [`CasUniversal`] object.
@@ -242,6 +390,9 @@ pub struct CasSession<T: ObjectType> {
     last_of: Vec<Option<(u64, T::Resp)>>,
     cursor: usize,
     my_seq: u64,
+    /// The entry of the operation in flight.
+    mine: Option<Entry<T::Op>>,
+    stage: CasStage<T::Op>,
 }
 
 impl<T: ObjectType> CasSession<T> {
@@ -259,48 +410,98 @@ impl<T: ObjectType> CasSession<T> {
         self.cursor += 1;
     }
 
-    /// Executes `op`, returning its response. Wait-free for every process
-    /// that keeps taking steps, via announce-array helping — but requires
-    /// CAS, a strong primitive.
+    /// Starts `op` (see [`CasSession::poll_apply`]). Wait-free for every
+    /// process that keeps taking steps, via announce-array helping — but
+    /// requires CAS, a strong primitive.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn apply(&mut self, env: &dyn Env, op: T::Op) -> SimResult<T::Resp> {
+    /// Panics if an operation is already in flight.
+    pub fn begin_apply(&mut self, op: T::Op) {
+        assert!(
+            matches!(self.stage, CasStage::Idle),
+            "begin_apply while an operation is in flight"
+        );
         self.my_seq += 1;
-        let mine = Entry {
+        self.mine = Some(Entry {
             proposer: self.p,
             seq: self.my_seq,
             op,
-        };
-        self.obj.announce[self.p.0].write(env, Some(mine.clone()))?;
-        loop {
-            // Replay decided slots.
-            loop {
-                let d = self.obj.decision(self.cursor);
-                match d.read(env)? {
-                    Some(e) => self.replay_one(e),
-                    None => break,
+        });
+        self.stage = CasStage::Start;
+    }
+
+    /// Runs one segment of the operation in flight: completes the
+    /// register operation invoked at the end of the previous segment,
+    /// runs the local code up to the next register invocation (invoking
+    /// it), and returns the response in the segment that completes the
+    /// operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no operation is in flight.
+    pub fn poll_apply(&mut self, env: &dyn Env) -> Option<T::Resp> {
+        let me = self.p.0;
+        match std::mem::replace(&mut self.stage, CasStage::Idle) {
+            CasStage::Idle => panic!("poll_apply without an operation in flight"),
+            CasStage::Start => {
+                let tok = self.obj.announce[me].invoke_write(env, self.mine.clone());
+                self.stage = CasStage::Announce(tok);
+            }
+            CasStage::Announce(tok) => {
+                self.obj.announce[me].complete_write(env, tok);
+                self.replay_next(env);
+            }
+            CasStage::DecisionRead(tok) => {
+                // Replay decided slots.
+                match self.obj.decision(self.cursor).complete_read(env, tok) {
+                    Some(e) => {
+                        self.replay_one(e);
+                        self.replay_next(env);
+                    }
+                    None => {
+                        let seq = self.mine.as_ref().expect("operation in flight").seq;
+                        if self.last_of[me].as_ref().is_some_and(|(s, _)| *s == seq) {
+                            let tok = self.obj.announce[me].invoke_write(env, None);
+                            self.stage = CasStage::Clear(tok);
+                        } else {
+                            // Decide the frontier slot, helping the
+                            // slot's owner.
+                            let helped = &self.obj.announce[self.cursor % self.obj.n];
+                            self.stage = CasStage::HelpRead(helped.invoke_read(env));
+                        }
+                    }
                 }
             }
-            if let Some((seq, resp)) = &self.last_of[self.p.0] {
-                if *seq == mine.seq {
-                    let r = resp.clone();
-                    self.obj.announce[self.p.0].write(env, None)?;
-                    return Ok(r);
-                }
+            CasStage::HelpRead(tok) => {
+                let s = self.cursor;
+                let helped = self.obj.announce[s % self.obj.n].complete_read(env, tok);
+                let cand = match helped {
+                    Some(e) if !self.applied(&e) => e,
+                    _ => self.mine.clone().expect("operation in flight"),
+                };
+                let op = self.obj.decision(s).invoke_cas(env, None, Some(cand));
+                self.stage = CasStage::Decide { s, op };
             }
-            // Decide the frontier slot, helping the slot's owner.
-            let s = self.cursor;
-            let helped = self.obj.announce[s % self.obj.n].read(env)?;
-            let cand = match helped {
-                Some(e) if !self.applied(&e) => e,
-                _ => mine.clone(),
-            };
-            let d = self.obj.decision(s);
-            let _ = d.compare_and_swap(env, &None, Some(cand))?;
-            // Loop: the slot is now decided (by us or a racer).
+            CasStage::Decide { s, op } => {
+                // The slot is now decided (by us or a racer).
+                let _ = self.obj.decision(s).complete_cas(env, op);
+                self.replay_next(env);
+            }
+            CasStage::Clear(tok) => {
+                self.obj.announce[me].complete_write(env, tok);
+                self.mine = None;
+                let (_, resp) = self.last_of[me].as_ref().expect("own operation replayed");
+                return Some(resp.clone());
+            }
         }
+        None
+    }
+
+    /// Invokes the read of the frontier slot's decision register.
+    fn replay_next(&mut self, env: &dyn Env) {
+        let tok = self.obj.decision(self.cursor).invoke_read(env);
+        self.stage = CasStage::DecisionRead(tok);
     }
 }
 
@@ -316,14 +517,25 @@ mod tests {
         Arc::new(RegisterFactory::new(RegisterFactoryConfig::default()))
     }
 
+    /// Drives a poll-form operation solo on a free-running env: one
+    /// `tick` between segments.
+    fn solo(env: &FreeRunEnv, mut poll: impl FnMut(&dyn Env) -> Option<i64>) -> i64 {
+        loop {
+            if let Some(v) = poll(env) {
+                return v;
+            }
+            env.tick().unwrap();
+        }
+    }
+
     #[test]
     fn obstruction_free_driver_completes_solo() {
         let obj = QaObject::new(Counter, 2, factory());
         let env = FreeRunEnv::new(ProcId(0));
         let mut s = obj.session(ProcId(0));
         for i in 1..=10 {
-            let v = drive_obstruction_free(&env, &mut s, CounterOp::Inc).unwrap();
-            assert_eq!(v, i);
+            let mut call = ObstructionFreeCall::new(CounterOp::Inc);
+            assert_eq!(solo(&env, |env| call.poll(env, &mut s)), i);
         }
     }
 
@@ -337,12 +549,13 @@ mod tests {
         let mut s1 = obj.session(ProcId(1));
         let mut responses = Vec::new();
         for i in 0..10 {
-            let v = if i % 2 == 0 {
-                s0.apply(&env0, CounterOp::Inc).unwrap()
+            let (s, env) = if i % 2 == 0 {
+                (&mut s0, &env0)
             } else {
-                s1.apply(&env1, CounterOp::Inc).unwrap()
+                (&mut s1, &env1)
             };
-            responses.push(v);
+            s.begin_apply(CounterOp::Inc);
+            responses.push(solo(env, |env| s.poll_apply(env)));
         }
         let mut sorted = responses.clone();
         sorted.sort_unstable();
@@ -358,8 +571,57 @@ mod tests {
         let env = FreeRunEnv::new(ProcId(0));
         let mut s = obj.session(ProcId(0));
         for i in 1..=5 {
-            let v = boost.invoke(&env, &mut s, CounterOp::Inc).unwrap();
-            assert_eq!(v, i);
+            let mut call = FlmsCall::new(CounterOp::Inc);
+            assert_eq!(solo(&env, |env| call.poll(env, &boost, &mut s)), i);
+        }
+    }
+
+    /// Golden pins: digests of the n = 3 counter workloads run with the
+    /// blocking forms of these baselines on the thread-per-task backend.
+    /// The poll forms must take exactly the same steps.
+    #[test]
+    fn poll_forms_reproduce_blocking_reference_digests() {
+        use crate::harness::{run_counter_workload, Engine, WorkloadConfig};
+        use tbwf_sim::schedule::{RoundRobin, SeededRandom};
+        use tbwf_sim::RunConfig;
+        let cases = [
+            (
+                Engine::PlainOf,
+                0x4440_51bb_b77c_756d,
+                0x8022_793f_393b_654e,
+                0x3974_466c_ccd9_a7da,
+            ),
+            (
+                Engine::FlmsBoost,
+                0x344f_9e59_e3ba_d021,
+                0x84e6_4544_9b0c_4a86,
+                0xf98b_b46f_de0c_2354,
+            ),
+            (
+                Engine::HerlihyCas,
+                0xacb7_9173_5b51_0091,
+                0x17d3_8bae_533b_3a4e,
+                0x5df3_2e30_8af8_7037,
+            ),
+        ];
+        for (engine, rr, random_4ops, random) in cases {
+            let run = |ops_per_proc, config| {
+                let cfg = WorkloadConfig {
+                    n: 3,
+                    engine,
+                    ops_per_proc,
+                    ..Default::default()
+                };
+                let out = run_counter_workload(&cfg, config);
+                out.report.assert_no_panics();
+                out.report.trace.digest()
+            };
+            let rr_got = run(u64::MAX, RunConfig::new(30_000, RoundRobin::new()));
+            assert_eq!(rr_got, rr, "{engine:?}, round-robin");
+            let got = run(4, RunConfig::new(30_000, SeededRandom::new(3)));
+            assert_eq!(got, random_4ops, "{engine:?}, 4 ops, seeded random");
+            let got = run(u64::MAX, RunConfig::new(30_000, SeededRandom::new(9)));
+            assert_eq!(got, random, "{engine:?}, seeded random");
         }
     }
 }

@@ -6,7 +6,9 @@
 // per-process wiring; an iterator chain would obscure it.
 #![allow(clippy::needless_range_loop)]
 
-use crate::baselines::{drive_obstruction_free, CasUniversal, FlmsBoost, FlmsShared};
+use crate::baselines::{
+    CasSession, CasUniversal, FlmsBoost, FlmsCall, FlmsShared, ObstructionFreeCall,
+};
 use crate::object::{Counter, CounterOp};
 use crate::qa::{QaObject, QaSession};
 use crate::tbwf::TbwfCall;
@@ -14,9 +16,7 @@ use std::sync::Arc;
 use tbwf_omega::harness::install_omega;
 use tbwf_omega::{OmegaHandles, OmegaKind};
 use tbwf_registers::{OpLog, RegisterFactory, RegisterFactoryConfig};
-use tbwf_sim::{
-    Control, Env, ProcId, RunConfig, RunReport, SimBuilder, StepCtx, Stepper, TaskSpawner,
-};
+use tbwf_sim::{Control, Env, ProcId, RunConfig, RunReport, SimBuilder, StepCtx, Stepper};
 
 /// Observation key: number of completed operations of a worker.
 pub const OBS_COMPLETED: &str = "completed";
@@ -62,21 +62,105 @@ impl Default for WorkloadConfig {
     }
 }
 
-/// The TBWF increment worker in poll form: one [`TbwfCall`] after
-/// another until `ops` operations have completed. The baseline engines
-/// keep their blocking closures, so a workload run exercises both task
-/// kinds side by side.
-struct TbwfWorker {
+/// One process's handle on an engine, running one increment at a time.
+trait IncClient: Send {
+    /// Starts the next increment.
+    fn begin(&mut self);
+
+    /// Runs one segment of the increment in flight; `Some(resp)` in the
+    /// segment that completes it.
+    fn poll(&mut self, env: &dyn Env) -> Option<i64>;
+}
+
+/// Figure 7: one [`TbwfCall`] per increment.
+struct TbwfClient {
     session: QaSession<Counter>,
     omega: OmegaHandles,
     canonical: bool,
-    ops: u64,
-    done: u64,
-    started: bool,
     call: Option<TbwfCall<Counter>>,
 }
 
-impl Stepper for TbwfWorker {
+impl IncClient for TbwfClient {
+    fn begin(&mut self) {
+        self.call = Some(TbwfCall::new(CounterOp::Inc, self.canonical));
+    }
+
+    fn poll(&mut self, env: &dyn Env) -> Option<i64> {
+        let call = self.call.as_mut().expect("worker has a call in flight");
+        call.poll(env, &mut self.session, &self.omega)
+    }
+}
+
+/// The query-abortable object with no coordination.
+struct PlainOfClient {
+    session: QaSession<Counter>,
+    call: Option<ObstructionFreeCall<Counter>>,
+}
+
+impl IncClient for PlainOfClient {
+    fn begin(&mut self) {
+        self.call = Some(ObstructionFreeCall::new(CounterOp::Inc));
+    }
+
+    fn poll(&mut self, env: &dyn Env) -> Option<i64> {
+        let call = self.call.as_mut().expect("worker has a call in flight");
+        call.poll(env, &mut self.session)
+    }
+}
+
+/// The query-abortable object behind the FLMS-style booster.
+struct FlmsClient {
+    session: QaSession<Counter>,
+    boost: FlmsBoost,
+    call: Option<FlmsCall<Counter>>,
+}
+
+impl IncClient for FlmsClient {
+    fn begin(&mut self) {
+        self.call = Some(FlmsCall::new(CounterOp::Inc));
+    }
+
+    fn poll(&mut self, env: &dyn Env) -> Option<i64> {
+        let call = self.call.as_mut().expect("worker has a call in flight");
+        call.poll(env, &self.boost, &mut self.session)
+    }
+}
+
+impl IncClient for CasSession<Counter> {
+    fn begin(&mut self) {
+        self.begin_apply(CounterOp::Inc);
+    }
+
+    fn poll(&mut self, env: &dyn Env) -> Option<i64> {
+        self.poll_apply(env)
+    }
+}
+
+/// The increment worker of every engine: one increment after another
+/// until `ops` have completed, observing each response and the running
+/// count.
+struct Worker<C> {
+    client: C,
+    ops: u64,
+    done: u64,
+    started: bool,
+}
+
+impl<C: IncClient> Worker<C> {
+    fn boxed(client: C, ops: u64) -> Box<dyn Stepper>
+    where
+        C: 'static,
+    {
+        Box::new(Worker {
+            client,
+            ops,
+            done: 0,
+            started: false,
+        })
+    }
+}
+
+impl<C: IncClient> Stepper for Worker<C> {
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
         let env = ctx.env();
         if !self.started {
@@ -85,26 +169,20 @@ impl Stepper for TbwfWorker {
             if self.done >= self.ops {
                 return Control::Done;
             }
-            self.call = Some(TbwfCall::new(CounterOp::Inc, self.canonical));
+            self.client.begin();
         }
-        loop {
-            let call = self.call.as_mut().expect("worker has a call in flight");
-            match call.poll(env, &mut self.session, &self.omega) {
-                None => return Control::Yield,
-                Some(v) => {
-                    self.done += 1;
-                    env.observe(OBS_RESP, 0, v);
-                    env.observe(OBS_COMPLETED, 0, self.done as i64);
-                    if self.done >= self.ops {
-                        self.call = None;
-                        return Control::Done;
-                    }
-                    // The next call's first segment runs in the segment
-                    // that completed this one, like the blocking loop.
-                    self.call = Some(TbwfCall::new(CounterOp::Inc, self.canonical));
-                }
+        // The next increment's first segment runs in the segment that
+        // completed the previous one.
+        while let Some(v) = self.client.poll(env) {
+            self.done += 1;
+            env.observe(OBS_RESP, 0, v);
+            env.observe(OBS_COMPLETED, 0, self.done as i64);
+            if self.done >= self.ops {
+                return Control::Done;
             }
+            self.client.begin();
         }
+        Control::Yield
     }
 }
 
@@ -154,77 +232,58 @@ pub fn run_counter_workload(cfg: &WorkloadConfig, run: RunConfig) -> WorkloadOut
     }
     let ops = cfg.ops_per_proc;
 
-    match cfg.engine {
+    let workers: Vec<Box<dyn Stepper>> = match cfg.engine {
         Engine::Tbwf(kind) | Engine::TbwfNonCanonical(kind) => {
             let canonical = matches!(cfg.engine, Engine::Tbwf(_));
             let omega_handles = install_omega(&mut b, &factory, cfg.n, kind);
             let obj = QaObject::new(Counter, cfg.n, Arc::clone(&factory));
-            for p in 0..cfg.n {
-                let worker = TbwfWorker {
-                    session: obj.session(ProcId(p)),
-                    omega: omega_handles[p].clone(),
-                    canonical,
-                    ops,
-                    done: 0,
-                    started: false,
-                    call: None,
-                };
-                b.spawn_stepper(ProcId(p), "worker", Box::new(worker));
-            }
+            (0..cfg.n)
+                .map(|p| {
+                    let client = TbwfClient {
+                        session: obj.session(ProcId(p)),
+                        omega: omega_handles[p].clone(),
+                        canonical,
+                        call: None,
+                    };
+                    Worker::boxed(client, ops)
+                })
+                .collect()
         }
         Engine::PlainOf => {
             let obj = QaObject::new(Counter, cfg.n, Arc::clone(&factory));
-            for p in 0..cfg.n {
-                let mut session = obj.session(ProcId(p));
-                b.add_task(ProcId(p), "worker", move |env| {
-                    env.observe(OBS_COMPLETED, 0, 0);
-                    let mut done = 0u64;
-                    while done < ops {
-                        let v = drive_obstruction_free(&env, &mut session, CounterOp::Inc)?;
-                        done += 1;
-                        env.observe(OBS_RESP, 0, v);
-                        env.observe(OBS_COMPLETED, 0, done as i64);
-                    }
-                    Ok(())
-                });
-            }
+            (0..cfg.n)
+                .map(|p| {
+                    let client = PlainOfClient {
+                        session: obj.session(ProcId(p)),
+                        call: None,
+                    };
+                    Worker::boxed(client, ops)
+                })
+                .collect()
         }
         Engine::FlmsBoost => {
             let obj = QaObject::new(Counter, cfg.n, Arc::clone(&factory));
             let shared = FlmsShared::new(&factory, cfg.n);
-            for p in 0..cfg.n {
-                let mut session = obj.session(ProcId(p));
-                let boost = FlmsBoost::new(Arc::clone(&shared));
-                b.add_task(ProcId(p), "worker", move |env| {
-                    env.observe(OBS_COMPLETED, 0, 0);
-                    let mut done = 0u64;
-                    while done < ops {
-                        let v = boost.invoke(&env, &mut session, CounterOp::Inc)?;
-                        done += 1;
-                        env.observe(OBS_RESP, 0, v);
-                        env.observe(OBS_COMPLETED, 0, done as i64);
-                    }
-                    Ok(())
-                });
-            }
+            (0..cfg.n)
+                .map(|p| {
+                    let client = FlmsClient {
+                        session: obj.session(ProcId(p)),
+                        boost: FlmsBoost::new(Arc::clone(&shared)),
+                        call: None,
+                    };
+                    Worker::boxed(client, ops)
+                })
+                .collect()
         }
         Engine::HerlihyCas => {
             let obj = CasUniversal::new(Counter, cfg.n, Arc::clone(&factory));
-            for p in 0..cfg.n {
-                let mut session = obj.session(ProcId(p));
-                b.add_task(ProcId(p), "worker", move |env| {
-                    env.observe(OBS_COMPLETED, 0, 0);
-                    let mut done = 0u64;
-                    while done < ops {
-                        let v = session.apply(&env, CounterOp::Inc)?;
-                        done += 1;
-                        env.observe(OBS_RESP, 0, v);
-                        env.observe(OBS_COMPLETED, 0, done as i64);
-                    }
-                    Ok(())
-                });
-            }
+            (0..cfg.n)
+                .map(|p| Worker::boxed(obj.session(ProcId(p)), ops))
+                .collect()
         }
+    };
+    for (p, worker) in workers.into_iter().enumerate() {
+        b.add_stepper(ProcId(p), "worker", worker);
     }
 
     let report = b.build().run(run);

@@ -15,6 +15,23 @@ struct PairSetup {
     steps: u64,
 }
 
+/// `inner`, with the (constant) input `key[idx] = on` observed at the
+/// start of its first step.
+fn input_first(
+    key: &'static str,
+    idx: u32,
+    on: bool,
+    mut inner: impl Stepper + 'static,
+) -> Box<dyn Stepper> {
+    let mut first = true;
+    Box::new(move |ctx: &mut StepCtx<'_>| {
+        if std::mem::take(&mut first) {
+            ctx.observe(key, idx, on as i64);
+        }
+        inner.step(ctx)
+    })
+}
+
 fn run_pair(s: PairSetup) -> PairRun {
     let factory = RegisterFactory::default();
     let pair = activity_monitor(&factory, ProcId(0), ProcId(1));
@@ -23,18 +40,19 @@ fn run_pair(s: PairSetup) -> PairRun {
 
     let mut b = SimBuilder::new();
     let p0 = b.add_process("p0");
-    let ms = pair.monitoring_side;
-    let (m_on, a_on) = (s.monitoring_on, s.active_on);
-    b.add_task(p0, "monitoring", move |env| {
-        env.observe("monitoring", 1, m_on as i64);
-        ms.run(&env)
-    });
+    let ms = pair.monitoring_side.into_stepper();
+    b.add_stepper(
+        p0,
+        "monitoring",
+        input_first("monitoring", 1, s.monitoring_on, ms),
+    );
     let p1 = b.add_process("p1");
-    let md = pair.monitored_side;
-    b.add_task(p1, "monitored", move |env| {
-        env.observe("active_for", 0, a_on as i64);
-        md.run(&env)
-    });
+    let md = pair.monitored_side.into_stepper();
+    b.add_stepper(
+        p1,
+        "monitored",
+        input_first("active_for", 0, s.active_on, md),
+    );
 
     let schedule: Box<dyn tbwf_sim::Schedule> = if s.q_timely {
         Box::new(RoundRobin::new())
