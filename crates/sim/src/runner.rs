@@ -9,23 +9,13 @@ use crate::trace::{Obs, Trace};
 use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
 
-struct TaskSpec {
-    name: String,
-    stepper: Box<dyn Stepper>,
-}
-
-struct ProcSpec {
-    name: String,
-    tasks: Vec<TaskSpec>,
-}
-
 /// Builder for a simulated system.
 ///
 /// Add processes, then add one or more stepper tasks to each; `build`
 /// returns the runnable system.
 #[derive(Default)]
 pub struct SimBuilder {
-    procs: Vec<ProcSpec>,
+    procs: Vec<ProcRt>,
 }
 
 impl SimBuilder {
@@ -36,9 +26,11 @@ impl SimBuilder {
 
     /// Adds a process and returns its id (ids are assigned in order).
     pub fn add_process(&mut self, name: &str) -> ProcId {
-        self.procs.push(ProcSpec {
+        self.procs.push(ProcRt {
             name: name.to_string(),
             tasks: Vec::new(),
+            cursor: 0,
+            crashed: false,
         });
         ProcId(self.procs.len() - 1)
     }
@@ -54,9 +46,10 @@ impl SimBuilder {
     ///
     /// Panics if `pid` was not returned by [`SimBuilder::add_process`].
     pub fn add_stepper(&mut self, pid: ProcId, name: &str, stepper: Box<dyn Stepper>) {
-        self.procs[pid.0].tasks.push(TaskSpec {
+        self.procs[pid.0].tasks.push(TaskRt {
             name: name.to_string(),
             stepper,
+            outcome: None,
         });
     }
 
@@ -71,30 +64,10 @@ impl SimBuilder {
     ///
     /// Panics if any process has no tasks.
     pub fn build(self) -> Sim {
-        let procs = self
-            .procs
-            .into_iter()
-            .map(|spec| {
-                assert!(!spec.tasks.is_empty(), "process {} has no tasks", spec.name);
-                ProcRt {
-                    name: spec.name,
-                    tasks: spec
-                        .tasks
-                        .into_iter()
-                        .map(|t| TaskRt {
-                            name: t.name,
-                            stepper: t.stepper,
-                            exited: false,
-                            finished: false,
-                            panic: None,
-                        })
-                        .collect(),
-                    cursor: 0,
-                    crashed: false,
-                }
-            })
-            .collect();
-        Sim { procs }
+        for proc in &self.procs {
+            assert!(!proc.tasks.is_empty(), "process {} has no tasks", proc.name);
+        }
+        Sim { procs: self.procs }
     }
 }
 
@@ -111,10 +84,9 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 struct TaskRt {
     name: String,
     stepper: Box<dyn Stepper>,
-    exited: bool,
-    /// Exited by returning `Done` (vs. by panicking).
-    finished: bool,
-    panic: Option<String>,
+    /// `None` while the task still runs; `Finished` or `Panicked` once
+    /// it has exited.
+    outcome: Option<TaskOutcome>,
 }
 
 struct ProcRt {
@@ -126,7 +98,7 @@ struct ProcRt {
 
 impl ProcRt {
     fn runnable(&self) -> bool {
-        !self.crashed && self.tasks.iter().any(|t| !t.exited)
+        !self.crashed && self.tasks.iter().any(|t| t.outcome.is_none())
     }
 }
 
@@ -185,10 +157,10 @@ impl RunConfig {
 /// How a task ended.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TaskOutcome {
-    /// Still blocked in an infinite loop when the run was halted (normal
-    /// for the paper's `repeat forever` algorithms).
+    /// Still running when the run ended (normal for the paper's
+    /// `repeat forever` algorithms).
     Halted,
-    /// The task body returned `Ok(())` before the run ended.
+    /// The stepper returned [`Control::Done`] before the run ended.
     Finished,
     /// The task panicked; the message is attached.
     Panicked(String),
@@ -352,7 +324,7 @@ impl Sim {
             for k in 0..ntasks {
                 let ti = (proc.cursor + k) % ntasks;
                 let task = &mut proc.tasks[ti];
-                if task.exited {
+                if task.outcome.is_some() {
                     continue;
                 }
                 let mark = obs.borrow().len();
@@ -365,13 +337,9 @@ impl Sim {
                         granted_from = Some(mark);
                         break;
                     }
-                    Ok(Control::Done) => {
-                        task.exited = true;
-                        task.finished = true;
-                    }
+                    Ok(Control::Done) => task.outcome = Some(TaskOutcome::Finished),
                     Err(panic) => {
-                        task.exited = true;
-                        task.panic = Some(panic_message(&*panic));
+                        task.outcome = Some(TaskOutcome::Panicked(panic_message(&*panic)));
                     }
                 }
             }
@@ -403,13 +371,7 @@ impl Sim {
                     .tasks
                     .iter()
                     .map(|task| {
-                        let outcome = if let Some(m) = &task.panic {
-                            TaskOutcome::Panicked(m.clone())
-                        } else if task.exited && task.finished {
-                            TaskOutcome::Finished
-                        } else {
-                            TaskOutcome::Halted
-                        };
+                        let outcome = task.outcome.clone().unwrap_or(TaskOutcome::Halted);
                         (task.name.clone(), outcome)
                     })
                     .collect(),

@@ -86,9 +86,8 @@ impl<T: ObjectType> TbwfCall<T> {
     }
 
     /// Runs one segment. Returns the response when the operation has
-    /// completed (lines 8/10 reached a normal response); the final
-    /// segment runs without consuming an extra step, exactly like the
-    /// blocking form returning mid-segment.
+    /// completed (lines 8/10 reached a normal response), in the segment
+    /// that received it: the caller's next work runs in the same step.
     pub fn poll(
         &mut self,
         env: &dyn Env,
