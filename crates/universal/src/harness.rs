@@ -2,10 +2,6 @@
 //! workloads on each progress engine, used by integration tests and the
 //! E4/E5/E7 experiments.
 
-// `for p in 0..n` indexing parallel handle vectors mirrors the paper's
-// per-process wiring; an iterator chain would obscure it.
-#![allow(clippy::needless_range_loop)]
-
 use crate::baselines::{
     CasSession, CasUniversal, FlmsBoost, FlmsCall, FlmsShared, ObstructionFreeCall,
 };
@@ -146,11 +142,8 @@ struct Worker<C> {
     started: bool,
 }
 
-impl<C: IncClient> Worker<C> {
-    fn boxed(client: C, ops: u64) -> Box<dyn Stepper>
-    where
-        C: 'static,
-    {
+impl<C: IncClient + 'static> Worker<C> {
+    fn boxed(client: C, ops: u64) -> Box<dyn Stepper> {
         Box::new(Worker {
             client,
             ops,
