@@ -6,19 +6,18 @@
 //! core count; the bench reports wall-clock campaigns/s per worker
 //! count, the parallel speedup, and — as a live cross-check of the
 //! determinism contract — asserts that every worker count produced a
-//! byte-identical campaign report. Emits both a human table and
-//! `results/bench_campaign_throughput.json` so the perf trajectory is
-//! diffable across PRs. Pass `--quick` for a smoke-sized grid.
+//! byte-identical campaign report. Each row is one pass over the grid;
+//! `--quick` shrinks the grid.
 
-use std::path::Path;
-use std::time::Instant;
-use tbwf_bench::gauntlet::{campaign_list, report_json, run_campaigns, write_artifact};
-use tbwf_bench::print_table;
+use std::time::{Duration, Instant};
+use tbwf_bench::bench::{Bench, Row};
+use tbwf_bench::gauntlet::{campaign_list, report_json, run_campaigns};
 use tbwf_sim::{resolve_jobs, Executor, Json};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let total = if quick { 16 } else { 80 };
+    // The grid, not a time window, sizes this bench.
+    let mut b = Bench::from_args("campaign_throughput", Duration::ZERO);
+    let total = if b.quick() { 16 } else { 80 };
     let scenarios = campaign_list(total);
     // Always measure a parallel row (even on one core, where it shows
     // the timesharing overhead instead of a speedup) so the
@@ -29,18 +28,24 @@ fn main() {
         scenarios.len(),
         scenarios.len() / 4,
         worker_counts,
-        if quick { " (--quick)" } else { "" }
+        if b.quick() { " (--quick)" } else { "" }
     );
 
-    let mut series = Vec::new();
+    let mut secs = Vec::new();
     let mut reports: Vec<String> = Vec::new();
     for &jobs in &worker_counts {
         let executor = Executor::new(jobs);
         let start = Instant::now();
         let results = run_campaigns(&scenarios, &executor);
-        let secs = start.elapsed().as_secs_f64();
+        secs.push(start.elapsed().as_secs_f64());
         reports.push(report_json(&results).to_string_compact());
-        series.push((jobs, secs, scenarios.len() as f64 / secs));
+        b.push(Row {
+            name: format!("jobs/{jobs}"),
+            iters: 1,
+            secs: *secs.last().unwrap(),
+            work: scenarios.len() as u64,
+            unit: "campaigns",
+        });
     }
     for r in &reports[1..] {
         assert_eq!(
@@ -49,50 +54,14 @@ fn main() {
         );
     }
 
-    let rows: Vec<Vec<String>> = series
-        .iter()
-        .map(|&(jobs, secs, cps)| vec![jobs.to_string(), format!("{secs:.2}"), format!("{cps:.1}")])
-        .collect();
-    print_table(&["jobs", "secs", "campaigns/s"], &rows);
-    let speedup = series[0].1 / series.last().unwrap().1;
+    let speedup = secs[0] / secs.last().unwrap();
+    b.note("campaigns", Json::Int(scenarios.len() as i128));
+    b.note("speedup", Json::Float(speedup));
+    b.note("reports_identical", Json::Bool(true));
+    b.report();
     println!(
         "\nspeedup at {} worker(s): {:.2}x; all reports byte-identical ok",
-        series.last().unwrap().0,
+        worker_counts.last().unwrap(),
         speedup
     );
-
-    let json = Json::obj([
-        ("bench", Json::str("campaign_throughput")),
-        (
-            "config",
-            Json::obj([
-                ("campaigns", Json::Int(scenarios.len() as i128)),
-                ("quick", Json::Bool(quick)),
-            ]),
-        ),
-        (
-            "series",
-            Json::Arr(
-                series
-                    .iter()
-                    .map(|&(jobs, secs, cps)| {
-                        Json::obj([
-                            ("jobs", Json::Int(jobs as i128)),
-                            ("secs", Json::Float(secs)),
-                            ("campaigns_per_sec", Json::Float(cps)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("speedup", Json::Float(speedup)),
-        ("reports_identical", Json::Bool(true)),
-    ]);
-    // Cargo runs bench binaries with cwd = the package root; anchor the
-    // artifact in the workspace-level results/ directory instead.
-    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    match write_artifact(&results, "bench_campaign_throughput", &json) {
-        Ok(p) => println!("json: {}", p.display()),
-        Err(e) => eprintln!("cannot write bench json: {e}"),
-    }
 }

@@ -1,8 +1,8 @@
 //! B2 — activity-monitor cost: full deterministic runs of one `A(p, q)`
 //! pair until (well past) status convergence.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
+use tbwf_bench::bench::Bench;
 use tbwf_monitor::fig2::activity_monitor;
 use tbwf_registers::RegisterFactory;
 use tbwf_sim::schedule::RoundRobin;
@@ -30,16 +30,13 @@ fn run_pair(steps: u64) {
     report.assert_no_panics();
 }
 
-fn monitor_runs(c: &mut Criterion) {
-    let mut g = c.benchmark_group("monitor-pair-run");
-    g.sample_size(10).measurement_time(Duration::from_secs(8));
+fn main() {
+    let mut b = Bench::from_args("monitor", Duration::from_secs(8));
+    b.header("one monitor pair, round-robin");
     for steps in [1_000u64, 4_000, 16_000] {
-        g.bench_with_input(BenchmarkId::from_parameter(steps), &steps, |b, &steps| {
-            b.iter(|| run_pair(steps))
+        b.run_work(format!("monitor-pair-run/{steps}"), steps, "steps", || {
+            run_pair(steps)
         });
     }
-    g.finish();
+    b.report();
 }
-
-criterion_group!(benches, monitor_runs);
-criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! B3 — Ω∆ election runs: atomic-register (Fig. 3) vs abortable-register
 //! (Figs. 4–6) implementations across system sizes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
+use tbwf_bench::bench::Bench;
 use tbwf_omega::{run_omega_system, CandidateScript, OmegaKind, OmegaSystemConfig};
 use tbwf_sim::schedule::RoundRobin;
 use tbwf_sim::RunConfig;
@@ -22,20 +22,22 @@ fn election_run(n: usize, kind: OmegaKind, steps: u64) {
     );
 }
 
-fn omega_runs(c: &mut Criterion) {
-    let mut g = c.benchmark_group("omega-election-run");
-    g.sample_size(10).measurement_time(Duration::from_secs(10));
+fn main() {
+    let mut b = Bench::from_args("omega", Duration::from_secs(10));
+    b.header("all processes always candidates, round-robin, 20k steps per process");
     for n in [2usize, 4] {
         let steps = 20_000 * n as u64;
-        g.bench_with_input(BenchmarkId::new("atomic", n), &n, |b, &n| {
-            b.iter(|| election_run(n, OmegaKind::Atomic, steps))
-        });
-        g.bench_with_input(BenchmarkId::new("abortable", n), &n, |b, &n| {
-            b.iter(|| election_run(n, OmegaKind::Abortable, steps))
-        });
+        for (name, kind) in [
+            ("atomic", OmegaKind::Atomic),
+            ("abortable", OmegaKind::Abortable),
+        ] {
+            b.run_work(
+                format!("omega-election-run/{name}/{n}"),
+                steps,
+                "steps",
+                || election_run(n, kind, steps),
+            );
+        }
     }
-    g.finish();
+    b.report();
 }
-
-criterion_group!(benches, omega_runs);
-criterion_main!(benches);

@@ -1,7 +1,8 @@
-//! Shared helpers for the E1–E8 experiment binaries and the Criterion
-//! benches. See `EXPERIMENTS.md` at the workspace root for the mapping
-//! from experiments to paper claims.
+//! Shared helpers for the experiment binaries and the benches (whose
+//! one harness is [`bench`](mod@bench)). See `EXPERIMENTS.md` at the
+//! workspace root for the mapping from experiments to paper claims.
 
+pub mod bench;
 pub mod gauntlet;
 
 /// Rejects command-line arguments for an experiment binary that takes

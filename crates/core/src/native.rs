@@ -10,7 +10,7 @@
 //!
 //! Timeliness becomes a property of the OS scheduler: on an unloaded
 //! machine every thread is timely, so the TBWF object behaves wait-free.
-//! The Criterion benches use this harness to measure real-time
+//! The `universal` bench uses this harness to measure real-time
 //! throughput; it is an extension beyond the paper's model, demonstrating
 //! that the algorithms are not simulator-bound.
 //!
@@ -28,17 +28,62 @@
 //! ```
 
 use crate::system::OBS_COMPLETED;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use tbwf_omega::harness::{install_omega_with, OmegaOptions};
 use tbwf_omega::{OmegaHandles, OmegaKind};
-use tbwf_registers::native::NativeEnv;
 use tbwf_registers::{RegisterFactory, RegisterFactoryConfig};
-use tbwf_sim::{Control, Env, Halted, ProcId, StepCtx, Stepper, TaskSpawner};
+use tbwf_sim::{Control, Env, Halted, ProcId, SimResult, StepCtx, Stepper, TaskSpawner};
 use tbwf_universal::qa::QaObject;
 use tbwf_universal::tbwf::invoke_tbwf;
 use tbwf_universal::ObjectType;
+
+/// Environment of one process on real threads.
+///
+/// `tick` checks the system's stop flag (so `repeat forever` loops can be
+/// torn down) and counts the process's steps; `now` returns that count,
+/// which is monotone but — unlike the simulator's clock — not a total
+/// order of steps across processes.
+#[derive(Clone)]
+struct NativeEnv {
+    pid: ProcId,
+    stop: Arc<AtomicBool>,
+    clock: Arc<AtomicU64>,
+}
+
+impl NativeEnv {
+    fn new(pid: ProcId, stop: Arc<AtomicBool>) -> Self {
+        NativeEnv {
+            pid,
+            stop,
+            clock: Arc::new(AtomicU64::new(0)),
+        }
+    }
+}
+
+impl Env for NativeEnv {
+    fn tick(&self) -> SimResult<()> {
+        if self.stop.load(Ordering::Relaxed) {
+            return Err(Halted);
+        }
+        self.clock.fetch_add(1, Ordering::Relaxed);
+        std::hint::spin_loop();
+        Ok(())
+    }
+
+    fn now(&self) -> u64 {
+        self.clock.load(Ordering::Relaxed)
+    }
+
+    fn pid(&self) -> ProcId {
+        self.pid
+    }
+
+    fn observe(&self, _key: &'static str, _idx: u32, _value: i64) {
+        // Native runs are for throughput, not trace checking.
+    }
+}
 
 /// A [`TaskSpawner`] that runs each task on its own OS thread.
 struct ThreadSpawner {
@@ -174,6 +219,17 @@ mod tests {
     use super::*;
     use crate::types::{Stack, StackOp, StackResp};
     use tbwf_universal::object::{Counter, CounterOp};
+
+    #[test]
+    fn native_env_halts_on_stop() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let env = NativeEnv::new(ProcId(1), Arc::clone(&stop));
+        assert!(env.tick().is_ok());
+        assert_eq!(env.now(), 1);
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(env.tick(), Err(Halted));
+        assert_eq!(env.pid(), ProcId(1));
+    }
 
     #[test]
     fn native_counter_single_client() {

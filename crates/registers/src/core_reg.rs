@@ -1,10 +1,10 @@
 //! The simulated register core: two-phase operations with overlap
-//! detection, and the three register kinds built on it.
+//! detection, and the atomic and abortable registers built on it.
 
 use crate::outcome::{ReadOutcome, WriteOutcome};
 use crate::policy::{AbortPolicy, EffectPolicy, PolicyDial};
 use crate::stats::{OpEvent, OpKind, OpLog};
-use crate::{AbortableRegister, AtomicRegister, OpToken, SafeRegister};
+use crate::{AbortableRegister, AtomicRegister, OpToken};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,14 +43,11 @@ impl InflightGauges {
 /// An operation in flight between its invocation and response steps.
 struct Inflight<T> {
     id: u64,
-    kind: OpKind,
     /// The invoking process (its in-flight gauge is held until the
     /// response step).
     proc: ProcId,
     /// Set as soon as any other operation's interval overlaps this one.
     overlapped: bool,
-    /// Whether the overlap involved a write (needed by safe registers).
-    overlapped_write: bool,
     /// Time of the invocation step (for the operation log).
     invoked: u64,
     /// A write's value, captured at invocation.
@@ -80,7 +77,6 @@ pub(crate) struct RegCore<T> {
 /// What the core reports when an operation resolves.
 struct Resolution<T> {
     overlapped: bool,
-    overlapped_write: bool,
     /// Uniform samples for the abort and effect decisions.
     u_abort: f64,
     u_effect: f64,
@@ -133,14 +129,7 @@ impl<T: Clone + Send> RegCore<T> {
     /// survivors. Overlap marks already made by the dead operation stand:
     /// operations genuinely concurrent with it before the crash may still
     /// abort.
-    fn begin(
-        &self,
-        env: &dyn Env,
-        kind: OpKind,
-        proc: ProcId,
-        invoked: u64,
-        payload: Option<T>,
-    ) -> u64 {
+    fn begin(&self, env: &dyn Env, proc: ProcId, invoked: u64, payload: Option<T>) -> u64 {
         let mut st = self.state.lock();
         let mut i = 0;
         while i < st.inflight.len() {
@@ -154,17 +143,13 @@ impl<T: Clone + Send> RegCore<T> {
         let id = st.next_id;
         st.next_id += 1;
         let any = !st.inflight.is_empty();
-        let any_write = st.inflight.iter().any(|o| o.kind == OpKind::Write);
         for o in &mut st.inflight {
             o.overlapped = true;
-            o.overlapped_write |= kind == OpKind::Write;
         }
         st.inflight.push(Inflight {
             id,
-            kind,
             proc,
             overlapped: any,
-            overlapped_write: any_write,
             invoked,
             payload,
         });
@@ -196,7 +181,6 @@ impl<T: Clone + Send> RegCore<T> {
         self.gauge_add(&mut st, op.proc, -1);
         let mut res = Resolution {
             overlapped: op.overlapped,
-            overlapped_write: op.overlapped_write,
             u_abort,
             u_effect,
             invoked: op.invoked,
@@ -257,10 +241,7 @@ impl<T: Clone + Send> SimAtomicReg<T> {
 
 impl<T: Clone + Send + Sync> AtomicRegister<T> for SimAtomicReg<T> {
     fn invoke_write(&self, env: &dyn Env, v: T) -> OpToken {
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Write, env.pid(), env.now(), Some(v)),
-        )
+        OpToken::new(self.core.begin(env, env.pid(), env.now(), Some(v)))
     }
 
     fn complete_write(&self, env: &dyn Env, tok: OpToken) {
@@ -272,10 +253,7 @@ impl<T: Clone + Send + Sync> AtomicRegister<T> for SimAtomicReg<T> {
     }
 
     fn invoke_read(&self, env: &dyn Env) -> OpToken {
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Read, env.pid(), env.now(), None),
-        )
+        OpToken::new(self.core.begin(env, env.pid(), env.now(), None))
     }
 
     fn complete_read(&self, env: &dyn Env, tok: OpToken) -> T {
@@ -340,10 +318,7 @@ impl<T: Clone + Send + Sync> AbortableRegister<T> for SimAbortableReg<T> {
                 self.core.name
             );
         }
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Write, env.pid(), env.now(), Some(v)),
-        )
+        OpToken::new(self.core.begin(env, env.pid(), env.now(), Some(v)))
     }
 
     fn complete_write(&self, env: &dyn Env, tok: OpToken) -> WriteOutcome {
@@ -379,10 +354,7 @@ impl<T: Clone + Send + Sync> AbortableRegister<T> for SimAbortableReg<T> {
                 self.core.name
             );
         }
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Read, env.pid(), env.now(), None),
-        )
+        OpToken::new(self.core.begin(env, env.pid(), env.now(), None))
     }
 
     fn complete_read(&self, env: &dyn Env, tok: OpToken) -> ReadOutcome<T> {
@@ -406,62 +378,6 @@ impl<T: Clone + Send + Sync> AbortableRegister<T> for SimAbortableReg<T> {
                 ReadOutcome::Aborted
             }
         }
-    }
-}
-
-/// Simulated safe register over `u64`.
-pub(crate) struct SimSafeReg {
-    core: RegCore<u64>,
-}
-
-impl SimSafeReg {
-    pub(crate) fn new(
-        name: String,
-        init: u64,
-        seed: u64,
-        log: Arc<OpLog>,
-        gauges: Arc<InflightGauges>,
-    ) -> Self {
-        SimSafeReg {
-            core: RegCore::new(name, init, seed, log, gauges),
-        }
-    }
-}
-
-impl SafeRegister for SimSafeReg {
-    fn invoke_write(&self, env: &dyn Env, v: u64) -> OpToken {
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Write, env.pid(), env.now(), Some(v)),
-        )
-    }
-
-    fn complete_write(&self, env: &dyn Env, tok: OpToken) {
-        let (res, ()) = self.core.resolve_apply(tok.raw(), |res, value| {
-            *value = res.payload.take().expect("write resolved without payload");
-        });
-        self.core
-            .record(env, res.invoked, OpKind::Write, &res, false, true);
-    }
-
-    fn invoke_read(&self, env: &dyn Env) -> OpToken {
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Read, env.pid(), env.now(), None),
-        )
-    }
-
-    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> u64 {
-        let (res, stored) = self.core.resolve_apply(tok.raw(), |_, value| *value);
-        let v = if res.overlapped_write {
-            // Arbitrary value: safe semantics under read/write overlap.
-            (res.u_abort * u64::MAX as f64) as u64
-        } else {
-            stored
-        };
-        self.core
-            .record(env, res.invoked, OpKind::Read, &res, false, false);
-        v
     }
 }
 
@@ -536,23 +452,21 @@ mod tests {
     fn overlap_detection_marks_both_ops() {
         let env = FreeRunEnv::new(ProcId(0));
         let r: RegCore<i64> = RegCore::new("R".into(), 0, 1, log(), gauges());
-        let a = r.begin(&env, OpKind::Read, ProcId(0), 0, None);
-        let b = r.begin(&env, OpKind::Write, ProcId(1), 0, Some(1));
+        let a = r.begin(&env, ProcId(0), 0, None);
+        let b = r.begin(&env, ProcId(1), 0, Some(1));
         let ra = r.resolve(a);
         let rb = r.resolve(b);
         assert!(ra.overlapped);
-        assert!(ra.overlapped_write);
         assert!(rb.overlapped);
-        assert!(!rb.overlapped_write);
     }
 
     #[test]
     fn sequential_ops_do_not_overlap() {
         let env = FreeRunEnv::new(ProcId(0));
         let r: RegCore<i64> = RegCore::new("R".into(), 0, 1, log(), gauges());
-        let a = r.begin(&env, OpKind::Read, ProcId(0), 0, None);
+        let a = r.begin(&env, ProcId(0), 0, None);
         let ra = r.resolve(a);
-        let b = r.begin(&env, OpKind::Write, ProcId(0), 1, Some(1));
+        let b = r.begin(&env, ProcId(0), 1, Some(1));
         let rb = r.resolve(b);
         assert!(!ra.overlapped);
         assert!(!rb.overlapped);
@@ -594,28 +508,19 @@ mod tests {
     }
 
     #[test]
-    fn safe_register_solo_reads_are_exact() {
-        let env = FreeRunEnv::new(ProcId(0));
-        let r = SimSafeReg::new("S".into(), 9, 1, log(), gauges());
-        assert_eq!(r.read(&env).unwrap(), 9);
-        r.write(&env, 11).unwrap();
-        assert_eq!(r.read(&env).unwrap(), 11);
-    }
-
-    #[test]
     fn inflight_gauge_tracks_invoke_to_complete_window() {
         let g = gauges();
         let r: RegCore<i64> = RegCore::new("R".into(), 0, 1, log(), Arc::clone(&g));
         let env = FreeRunEnv::new(ProcId(2));
         let cell = g.cell(ProcId(2));
         assert_eq!(cell.load(Ordering::SeqCst), 0);
-        let a = r.begin(&env, OpKind::Write, ProcId(2), 0, Some(1));
+        let a = r.begin(&env, ProcId(2), 0, Some(1));
         assert_eq!(
             cell.load(Ordering::SeqCst),
             1,
             "held between invoke and complete"
         );
-        let b = r.begin(&env, OpKind::Read, ProcId(2), 0, None);
+        let b = r.begin(&env, ProcId(2), 0, None);
         assert_eq!(cell.load(Ordering::SeqCst), 2);
         r.resolve(a);
         r.resolve(b);

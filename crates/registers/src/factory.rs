@@ -1,10 +1,10 @@
 //! The register factory: creates named, logged, seeded registers for one
 //! run.
 
-use crate::core_reg::{InflightGauges, SimAbortableReg, SimAtomicReg, SimSafeReg};
+use crate::core_reg::{InflightGauges, SimAbortableReg, SimAtomicReg};
 use crate::policy::{AbortPolicy, EffectPolicy, PolicyDial};
 use crate::stats::OpLog;
-use crate::{SafeRegister, SharedAbortable, SharedAtomic};
+use crate::{SharedAbortable, SharedAtomic};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use tbwf_sim::ProcId;
@@ -188,17 +188,6 @@ impl RegisterFactory {
         ))
     }
 
-    /// Creates a safe register over `u64`.
-    pub fn safe(&self, name: &str, init: u64) -> Arc<dyn SafeRegister> {
-        Arc::new(SimSafeReg::new(
-            name.to_string(),
-            init,
-            self.next_seed(),
-            self.log(),
-            Arc::clone(&self.gauges),
-        ))
-    }
-
     /// Creates a compare-and-swap register (used only by the strong-
     /// primitive baseline, never by the paper's constructions).
     pub fn cas<T: Clone + PartialEq + Send + Sync + 'static>(
@@ -232,13 +221,11 @@ mod tests {
         let env = FreeRunEnv::new(ProcId(0));
         let a = f.atomic("A", 1i64);
         let b = f.abortable("B", 2i64);
-        let s = f.safe("S", 3);
         assert_eq!(a.read(&env).unwrap(), 1);
         assert_eq!(b.read(&env).unwrap(), ReadOutcome::Value(2));
-        assert_eq!(s.read(&env).unwrap(), 3);
         assert_eq!(b.write(&env, 9).unwrap(), WriteOutcome::Ok);
         assert_eq!(b.read(&env).unwrap(), ReadOutcome::Value(9));
-        assert_eq!(f.log().len(), 5);
+        assert_eq!(f.log().len(), 4);
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! Shared registers for the TBWF reproduction: atomic, safe, and
-//! **abortable** registers, in two backends.
+//! Shared registers for the TBWF reproduction: atomic and **abortable**
+//! registers (plus the compare-and-swap register of the strong-primitive
+//! baseline), all built on one simulated core.
 //!
-//! # Model (simulated backend)
+//! # Model
 //!
 //! In the paper's model (Section 3 and \[2\]) a register operation spans an
 //! *invocation* step and a *response* step; two operations are
 //! **concurrent** iff their invoke–response intervals overlap. The
-//! simulated registers here implement exactly that:
+//! registers here implement exactly that:
 //!
 //! * an operation is *invoked* at the end of one step of the caller and
 //!   *completed* at the start of the caller's next step (arbitrarily far
 //!   in global time): the `invoke_*`/`complete_*` pair that stepper code
-//!   uses. The blocking `read`/`write` forms, which the native backend
-//!   uses, are derived from that pair with one [`Env::tick`] in between;
+//!   uses. The blocking `read`/`write` forms, which the native thread
+//!   harness (`tbwf::native`) uses, are derived from that pair with one
+//!   [`Env::tick`] in between;
 //! * an **atomic** register linearizes at the response and never aborts;
-//! * a **safe** register returns an arbitrary (seeded) value when a read
-//!   overlaps a write;
 //! * an **abortable** register *may abort* any operation that overlaps
 //!   another operation on the same register: an aborted read returns no
 //!   value, an aborted write returns `⊥` and *may or may not take effect*
@@ -26,14 +26,10 @@
 //!
 //! Abort and effect decisions are driven by a seeded [`AbortPolicy`] /
 //! [`EffectPolicy`] so every adversary is reproducible; the default policy
-//! (`AlwaysOnOverlap`) is the strongest admissible adversary.
-//!
-//! # Native backend
-//!
-//! [`native`] provides real-thread implementations: the abortable register
-//! is a try-lock/seqlock hybrid whose operations abort exactly when they
-//! detect a racing operation. It is used by the Criterion benches to put
-//! real parallel contention through the same algorithm code.
+//! (`AlwaysOnOverlap`) is the strongest admissible adversary. The same
+//! registers serve simulated and real-thread runs: overlap detection is
+//! done under a lock, so on real threads abortable registers abort on
+//! real races.
 //!
 //! All registers are created through a [`RegisterFactory`], which tags each
 //! register with a name and records every operation into a shared
@@ -46,7 +42,6 @@
 mod cas;
 mod core_reg;
 mod factory;
-pub mod native;
 mod outcome;
 mod policy;
 pub mod stats;
@@ -170,51 +165,6 @@ pub trait AbortableRegister<T: Clone>: Send + Sync {
     /// # Errors
     /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
     fn read(&self, env: &dyn Env) -> SimResult<ReadOutcome<T>> {
-        let tok = self.invoke_read(env);
-        env.tick()?;
-        Ok(self.complete_read(env, tok))
-    }
-}
-
-/// A safe register holding `u64` values.
-///
-/// A read that overlaps a write returns an *arbitrary* value (here: a
-/// seeded pseudo-random one). Included to demonstrate that abortable
-/// registers are *weaker* than safe registers: a safe write always takes
-/// effect, an abortable one may not.
-///
-/// As with [`AtomicRegister`], the blocking forms are derived from the
-/// two-phase (poll) form.
-pub trait SafeRegister: Send + Sync {
-    /// Invocation step of a write of `v` (the value is captured now).
-    fn invoke_write(&self, env: &dyn Env, v: u64) -> OpToken;
-
-    /// Response step of a write (always takes effect).
-    fn complete_write(&self, env: &dyn Env, tok: OpToken);
-
-    /// Invocation step of a read.
-    fn invoke_read(&self, env: &dyn Env) -> OpToken;
-
-    /// Response step of a read; an overlapping write makes the result
-    /// arbitrary.
-    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> u64;
-
-    /// Writes `v` (blocking form).
-    ///
-    /// # Errors
-    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn write(&self, env: &dyn Env, v: u64) -> SimResult<()> {
-        let tok = self.invoke_write(env, v);
-        env.tick()?;
-        self.complete_write(env, tok);
-        Ok(())
-    }
-
-    /// Reads (blocking form).
-    ///
-    /// # Errors
-    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn read(&self, env: &dyn Env) -> SimResult<u64> {
         let tok = self.invoke_read(env);
         env.tick()?;
         Ok(self.complete_read(env, tok))

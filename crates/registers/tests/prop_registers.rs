@@ -68,21 +68,6 @@ proptest! {
         prop_assert_eq!(aborted, 0);
     }
 
-    /// Safe registers behave like atomic registers sequentially.
-    #[test]
-    fn safe_register_sequential_is_exact(ops in ops_strategy(), init in 0i64..100) {
-        let f = RegisterFactory::default();
-        let r = f.safe("S", init as u64);
-        let env = FreeRunEnv::new(ProcId(0));
-        let mut model = init as u64;
-        for op in ops {
-            match op {
-                SeqOp::Write(v) => { r.write(&env, v.unsigned_abs()).unwrap(); model = v.unsigned_abs(); }
-                SeqOp::Read => prop_assert_eq!(r.read(&env).unwrap(), model),
-            }
-        }
-    }
-
     /// CAS register: sequential compare-and-swap follows the model.
     #[test]
     fn cas_register_matches_model(ops in prop::collection::vec((0i64..4, 0i64..4), 1..40)) {

@@ -203,45 +203,3 @@ fn aborted_write_may_not_take_effect() {
     assert_eq!(w, vec![WriteOutcome::Aborted]);
     assert_eq!(r[1], ReadOutcome::Value(0), "no effect expected");
 }
-
-/// Safe register: a read overlapping a write returns garbage, but
-/// reads overlapping only reads stay exact.
-#[test]
-fn safe_register_overlap_semantics() {
-    let f = factory(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Never);
-    let reg = f.safe("S", 5);
-    let w_out = Local::new(Vec::<()>::new());
-    let r_out = Local::new(Vec::<u64>::new());
-
-    let mut b = SimBuilder::new();
-    let p0 = b.add_process("p0");
-    let (r1, r2) = (Arc::clone(&reg), Arc::clone(&reg));
-    b.add_stepper(
-        p0,
-        "writer",
-        ops_task(
-            move |env| r1.invoke_write(env, 9),
-            move |env, tok| r2.complete_write(env, tok),
-            vec![0],
-            w_out,
-        ),
-    );
-    // The first read races the write; the second runs solo.
-    let p1 = b.add_process("p1");
-    let (r1, r2) = (Arc::clone(&reg), Arc::clone(&reg));
-    b.add_stepper(
-        p1,
-        "reader",
-        ops_task(
-            move |env| r1.invoke_read(env),
-            move |env, tok| r2.complete_read(env, tok),
-            vec![0, 4],
-            r_out.clone(),
-        ),
-    );
-    run_two(b, vec![ProcId(0), ProcId(1)]);
-    let reads = r_out.get();
-    assert_eq!(reads.len(), 2);
-    // The solo read must be exact (the write completed with value 9).
-    assert_eq!(reads[1], 9);
-}

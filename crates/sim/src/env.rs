@@ -43,8 +43,8 @@ impl CrashFlags {
 /// All the algorithms of the paper (Figures 2–7) are written against this
 /// trait, so the same code runs on the deterministic simulator (whose
 /// per-step env is handed to each [`Stepper`](crate::Stepper) through
-/// [`StepCtx`](crate::StepCtx)) and on a real-thread backend (the
-/// `native` module of `tbwf-registers`).
+/// [`StepCtx`](crate::StepCtx)) and on real threads (the `native`
+/// module of the `tbwf` crate, which owns the thread-backed env).
 ///
 /// A *step* in the sense of Section 3 of the paper is one segment of a
 /// stepper in the simulator. Blocking code — the native backend and

@@ -51,10 +51,16 @@ enum CallState {
 
 /// One TBWF operation (Figure 7) in poll form: [`TbwfCall::poll`] runs
 /// one segment per call and returns the response when the operation
-/// completes. The blocking [`invoke_tbwf`] /
-/// [`invoke_tbwf_non_canonical`] are derived from this machine by
-/// inserting one [`Env::tick`] per pending poll, so both forms consume
-/// steps at identical points.
+/// completes. Simulated workers drive it directly; the blocking
+/// [`invoke_tbwf`] that the native thread harness uses is derived from
+/// it by inserting one [`Env::tick`] per pending poll, so both forms
+/// consume steps at identical points.
+///
+/// `TbwfCall::new(op, false)` omits the line-2 wait (and keeps the
+/// caller a candidate after it returns). Only experiment E7 uses it,
+/// through [`Engine::TbwfNonCanonical`](crate::harness::Engine::TbwfNonCanonical), to show
+/// that without the wait a timely process can win every election and
+/// monopolize the object.
 pub struct TbwfCall<T: ObjectType> {
     op: T::Op,
     canonical: bool,
@@ -187,31 +193,6 @@ pub fn invoke_tbwf<T: ObjectType>(
     op: T::Op,
 ) -> SimResult<T::Resp> {
     let mut call = TbwfCall::new(op, true);
-    loop {
-        if let Some(v) = call.poll(env, session, omega) {
-            return Ok(v);
-        }
-        env.tick()?;
-    }
-}
-
-/// A non-canonical variant that **omits the line-2 wait**, used only by
-/// experiment E7 to demonstrate why the wait is necessary: with it
-/// removed, a timely process can win every election and monopolize the
-/// object, starving the other timely processes.
-///
-/// # Errors
-///
-/// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-pub fn invoke_tbwf_non_canonical<T: ObjectType>(
-    env: &dyn Env,
-    session: &mut QaSession<T>,
-    omega: &OmegaHandles,
-    op: T::Op,
-) -> SimResult<T::Resp> {
-    // Note: candidate stays true after a response — the monopolist never
-    // yields leadership.
-    let mut call = TbwfCall::new(op, false);
     loop {
         if let Some(v) = call.poll(env, session, omega) {
             return Ok(v);

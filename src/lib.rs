@@ -10,8 +10,8 @@
 //!
 //! * [`sim`] — deterministic partial-synchrony simulator (Section 3's
 //!   model: steps, schedules, crashes, measured timeliness);
-//! * [`registers`] — atomic / safe / **abortable** registers, simulated
-//!   and native backends;
+//! * [`registers`] — atomic and **abortable** registers with the
+//!   paper's invoke/response overlap semantics;
 //! * [`monitor`] — activity monitors `A(p, q)` (Figure 2);
 //! * [`omega`] — the dynamic leader elector Ω∆ from atomic registers
 //!   (Figure 3) and from abortable registers (Figures 4–6);
